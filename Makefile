@@ -43,9 +43,12 @@ regress:
 	done
 
 # Everything `test` gates on, plus a compile-only smoke of every bench
-# target so bench drift cannot rot outside the tier-1 path.
+# target so bench drift cannot rot outside the tier-1 path, plus the
+# benchmark of record's own tests, so a public-API change that breaks
+# `perfbench/` fails here rather than in the benchmark run.
 check: test
 	cargo bench --workspace --no-run
+	cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # 10M-attack scale path (DESIGN.md §9): per-stage peak-RSS probes in
 # separate processes (VmHWM is monotone, so stages must not share one),

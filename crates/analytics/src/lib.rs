@@ -4,6 +4,8 @@
 //!   weeks), 12-week EWMA, OLS trend lines and Table-1 trend classes;
 //! * [`corr`]: Spearman/Pearson with t-test p-values (Fig. 6),
 //!   quarterly correlation boxes (Fig. 14 / App. F);
+//! * [`membership`]: the sorted-merge join kernel every target
+//!   comparison below is built on;
 //! * [`upset`]: exclusive set intersections of (date, IP) targets
 //!   (Fig. 7);
 //! * [`overlap`]: overlap time series, new-vs-recurring decomposition,
@@ -17,6 +19,7 @@ pub mod concentration;
 pub mod corr;
 pub mod heatmap;
 pub mod lag;
+pub mod membership;
 pub mod overlap;
 pub mod seasonal;
 pub mod series;
@@ -31,6 +34,7 @@ pub use corr::{
 };
 pub use heatmap::Heatmap;
 pub use lag::{best_lag, durable_crossing, lagged_spearman, share_series, LagResult};
+pub use membership::{membership, sorted_distinct};
 pub use overlap::{
     confirmation_shares, ip_overlap_share, new_vs_recurring, weekly_overlap,
     weekly_target_counts, ConfirmationShares, NewRecurring, OverlapSeries,

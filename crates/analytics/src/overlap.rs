@@ -1,21 +1,26 @@
 //! Target-overlap time series and industry confirmation joins
 //! (Fig. 8, 9, 10, 13 and the §7 scalar statistics).
 
+use crate::membership::{merge, sorted_distinct, MAX_SETS};
 use crate::upset::TargetTuple;
 use serde::{Deserialize, Serialize};
 use simcore::STUDY_WEEKS;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+
+/// Study week of a day index, if inside the study window.
+fn week_of(day: i64) -> Option<usize> {
+    let w = day.div_euclid(7);
+    (0..STUDY_WEEKS as i64).contains(&w).then_some(w as usize)
+}
 
 /// Weekly counts of distinct (day, IP) targets: tuples are daily-
 /// distinct by construction; the weekly series sums days (§5: "time
 /// series count daily tuples and sum them up to weekly totals").
 pub fn weekly_target_counts(tuples: &[TargetTuple]) -> Vec<f64> {
-    let distinct: HashSet<TargetTuple> = tuples.iter().copied().collect();
     let mut out = vec![0.0; STUDY_WEEKS];
-    for (day, _) in distinct {
-        let w = day.div_euclid(7);
-        if (0..STUDY_WEEKS as i64).contains(&w) {
-            out[w as usize] += 1.0;
+    for &(day, _) in sorted_distinct(tuples).iter() {
+        if let Some(w) = week_of(day) {
+            out[w] += 1.0;
         }
     }
     out
@@ -30,15 +35,28 @@ pub struct OverlapSeries {
     pub shared: Vec<f64>,
 }
 
+/// All three series of [`OverlapSeries`] from one merge of `a` and `b`.
 pub fn weekly_overlap(a: &[TargetTuple], b: &[TargetTuple]) -> OverlapSeries {
-    let sa: HashSet<TargetTuple> = a.iter().copied().collect();
-    let sb: HashSet<TargetTuple> = b.iter().copied().collect();
-    let shared: Vec<TargetTuple> = sa.intersection(&sb).copied().collect();
-    OverlapSeries {
-        a: weekly_target_counts(a),
-        b: weekly_target_counts(b),
-        shared: weekly_target_counts(&shared),
-    }
+    let mut out = OverlapSeries {
+        a: vec![0.0; STUDY_WEEKS],
+        b: vec![0.0; STUDY_WEEKS],
+        shared: vec![0.0; STUDY_WEEKS],
+    };
+    merge(&[a, b], |(day, _), mask| {
+        let Some(w) = week_of(day) else {
+            return;
+        };
+        if mask & 0b01 != 0 {
+            out.a[w] += 1.0;
+        }
+        if mask & 0b10 != 0 {
+            out.b[w] += 1.0;
+        }
+        if mask == 0b11 {
+            out.shared[w] += 1.0;
+        }
+    });
+    out
 }
 
 /// Fig. 8: weekly decomposition of a target stream into *new* IPs
@@ -53,23 +71,18 @@ pub struct NewRecurring {
 }
 
 pub fn new_vs_recurring(tuples: &[TargetTuple]) -> NewRecurring {
-    let mut distinct: Vec<TargetTuple> = tuples.to_vec();
-    distinct.sort_unstable();
-    distinct.dedup();
-    // Process in day order; track first appearance of each IP.
-    distinct.sort_by_key(|&(day, ip)| (day, ip));
+    // Tuple order is day order: track the first appearance of each IP.
     let mut seen: HashSet<netmodel::Ipv4> = HashSet::new();
     let mut new_targets = vec![0.0; STUDY_WEEKS];
     let mut recurring = vec![0.0; STUDY_WEEKS];
-    for (day, ip) in distinct {
-        let w = day.div_euclid(7);
-        if !(0..STUDY_WEEKS as i64).contains(&w) {
+    for &(day, ip) in sorted_distinct(tuples).iter() {
+        let Some(w) = week_of(day) else {
             continue;
-        }
+        };
         if seen.insert(ip) {
-            new_targets[w as usize] += 1.0;
+            new_targets[w] += 1.0;
         } else {
-            recurring[w as usize] += 1.0;
+            recurring[w] += 1.0;
         }
     }
     let total_new: f64 = new_targets.iter().sum();
@@ -106,67 +119,70 @@ pub struct ConfirmationShares {
     pub industry_seen_by_union: f64,
 }
 
-pub fn confirmation_shares(
-    academic: &[(String, Vec<TargetTuple>)],
+/// Both directions of the join from one merge: the industry set rides
+/// along as the top membership bit above the (at most 15) academic sets.
+pub fn confirmation_shares<S: AsRef<[TargetTuple]>>(
+    academic: &[(String, S)],
     industry: &[TargetTuple],
 ) -> ConfirmationShares {
-    let industry_set: HashSet<TargetTuple> = industry.iter().copied().collect();
-    // Membership masks over academic sets.
-    let mut membership: HashMap<TargetTuple, u16> = HashMap::new();
-    for (i, (_, tuples)) in academic.iter().enumerate() {
-        for &t in tuples {
-            *membership.entry(t).or_insert(0) |= 1 << i;
+    let k = academic.len();
+    assert!(
+        k < MAX_SETS,
+        "confirmation supports at most {} academic sets",
+        MAX_SETS - 1
+    );
+    let mut sets: Vec<&[TargetTuple]> = academic.iter().map(|(_, s)| s.as_ref()).collect();
+    sets.push(industry);
+    let industry_bit = 1u16 << k;
+    // Per exclusive academic subset: (targets, confirmed targets).
+    let mut subsets = vec![(0usize, 0usize); 1 << k];
+    let mut seen_by = vec![0usize; k];
+    let mut seen_by_union = 0usize;
+    let mut industry_n = 0usize;
+    merge(&sets, |_, mask| {
+        let subset = mask & !industry_bit;
+        let confirmed = mask & industry_bit != 0;
+        if subset != 0 {
+            let row = &mut subsets[subset as usize];
+            row.0 += 1;
+            row.1 += confirmed as usize;
         }
-    }
-    // Exclusive-subset confirmation.
-    let mut subset_total: HashMap<u16, usize> = HashMap::new();
-    let mut subset_confirmed: HashMap<u16, usize> = HashMap::new();
-    for (&t, &mask) in &membership {
-        *subset_total.entry(mask).or_insert(0) += 1;
-        if industry_set.contains(&t) {
-            *subset_confirmed.entry(mask).or_insert(0) += 1;
+        if confirmed {
+            industry_n += 1;
+            seen_by_union += (subset != 0) as usize;
+            for (i, n) in seen_by.iter_mut().enumerate() {
+                *n += (subset >> i & 1) as usize;
+            }
         }
-    }
-    let mut rows: Vec<(u16, usize, f64)> = subset_total
+    });
+    let rows = subsets
         .iter()
-        .map(|(&mask, &total)| {
-            let confirmed = *subset_confirmed.get(&mask).unwrap_or(&0);
-            (mask, total, confirmed as f64 / total as f64)
-        })
+        .enumerate()
+        .filter(|&(_, &(total, _))| total > 0)
+        .map(|(mask, &(total, confirmed))| (mask as u16, total, confirmed as f64 / total as f64))
         .collect();
-    rows.sort_by_key(|(mask, _, _)| *mask);
-
-    // Reverse direction.
-    let industry_n = industry_set.len().max(1);
-    let industry_seen_by = academic
-        .iter()
-        .map(|(_, tuples)| {
-            let s: HashSet<TargetTuple> = tuples.iter().copied().collect();
-            industry_set.intersection(&s).count() as f64 / industry_n as f64
-        })
-        .collect();
-    let union: HashSet<TargetTuple> = membership.keys().copied().collect();
-    let industry_seen_by_union =
-        industry_set.intersection(&union).count() as f64 / industry_n as f64;
-
+    let industry_n = industry_n.max(1) as f64;
     ConfirmationShares {
         rows,
-        industry_seen_by,
-        industry_seen_by_union,
+        industry_seen_by: seen_by.iter().map(|&n| n as f64 / industry_n).collect(),
+        industry_seen_by_union: seen_by_union as f64 / industry_n,
     }
 }
 
 /// Share of distinct *IP addresses* (not tuples) common to two streams,
 /// relative to the smaller set — the Jonker-et-al.-style comparison of
 /// §7.1 ("this overlap is lower, i.e., 1.18%–2.9% of the IP addresses").
+/// The merge runs over the streams projected to `(0, IP)` tuples.
 pub fn ip_overlap_share(a: &[TargetTuple], b: &[TargetTuple]) -> f64 {
-    let ips_a: HashSet<netmodel::Ipv4> = a.iter().map(|&(_, ip)| ip).collect();
-    let ips_b: HashSet<netmodel::Ipv4> = b.iter().map(|&(_, ip)| ip).collect();
-    let smaller = ips_a.len().min(ips_b.len());
+    let ips =
+        |s: &[TargetTuple]| -> Vec<TargetTuple> { s.iter().map(|&(_, ip)| (0, ip)).collect() };
+    let mut by_mask = [0usize; 4];
+    merge(&[&ips(a), &ips(b)], |_, mask| by_mask[mask as usize] += 1);
+    let smaller = (by_mask[0b01] + by_mask[0b11]).min(by_mask[0b10] + by_mask[0b11]);
     if smaller == 0 {
         return 0.0;
     }
-    ips_a.intersection(&ips_b).count() as f64 / smaller as f64
+    by_mask[0b11] as f64 / smaller as f64
 }
 
 #[cfg(test)]

@@ -6,10 +6,10 @@
 //! intersections of the figure's top bar plot — alongside per-set totals
 //! (the left bar plot).
 
+use crate::membership::{merge, MAX_SETS};
 use netmodel::Ipv4;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 
 /// A `(day index, target IP)` tuple.
 pub type TargetTuple = (i64, Ipv4);
@@ -76,32 +76,39 @@ impl UpsetAnalysis {
 }
 
 /// Compute the UpSet decomposition. Tuples may contain duplicates; they
-/// are deduplicated per set.
-pub fn upset(sets: &[(String, Vec<TargetTuple>)]) -> UpsetAnalysis {
-    assert!(sets.len() <= 16, "upset supports at most 16 sets");
-    let mut membership: HashMap<TargetTuple, u16> = HashMap::new();
-    for (i, (_, tuples)) in sets.iter().enumerate() {
-        for &t in tuples {
-            *membership.entry(t).or_insert(0) |= 1 << i;
-        }
-    }
-    let mut set_sizes = vec![0usize; sets.len()];
-    let mut exclusive: BTreeMap<u16, usize> = BTreeMap::new();
-    let mut ips: HashMap<Ipv4, ()> = HashMap::new();
-    for (&(_, ip), &mask) in &membership {
-        *exclusive.entry(mask).or_insert(0) += 1;
-        ips.insert(ip, ());
-        for (i, size) in set_sizes.iter_mut().enumerate() {
-            if mask & (1 << i) != 0 {
-                *size += 1;
-            }
-        }
-    }
+/// are deduplicated per set. One [`membership`](crate::membership) merge
+/// counts every exclusive intersection.
+pub fn upset<S: AsRef<[TargetTuple]>>(sets: &[(String, S)]) -> UpsetAnalysis {
+    let slices: Vec<&[TargetTuple]> = sets.iter().map(|(_, s)| s.as_ref()).collect();
+    let mut by_mask = vec![0usize; 1 << sets.len().min(MAX_SETS)];
+    let mut ips: Vec<Ipv4> = Vec::new();
+    merge(&slices, |(_, ip), mask| {
+        by_mask[mask as usize] += 1;
+        ips.push(ip);
+    });
+    ips.sort_unstable();
+    ips.dedup();
+    let set_sizes = (0..sets.len())
+        .map(|i| {
+            by_mask
+                .iter()
+                .enumerate()
+                .filter(|&(mask, _)| mask & (1 << i) != 0)
+                .map(|(_, &n)| n)
+                .sum()
+        })
+        .collect();
+    let exclusive: BTreeMap<u16, usize> = by_mask
+        .iter()
+        .enumerate()
+        .filter(|&(_, &n)| n > 0)
+        .map(|(mask, &n)| (mask as u16, n))
+        .collect();
     UpsetAnalysis {
         names: sets.iter().map(|(n, _)| n.clone()).collect(),
         set_sizes,
         exclusive,
-        total_distinct: membership.len(),
+        total_distinct: by_mask.iter().sum(),
         distinct_ips: ips.len(),
     }
 }

@@ -667,6 +667,15 @@ impl ObservationColumns {
         self.target_arena.truncate(last as usize);
     }
 
+    /// Drop every row but keep the allocations, so one scratch sink can
+    /// serve many single-row observations.
+    pub fn clear(&mut self) {
+        self.attack_id.clear();
+        self.start.clear();
+        self.target_offsets.truncate(1);
+        self.target_arena.clear();
+    }
+
     /// Target slice of row `i`.
     pub fn targets(&self, i: usize) -> &[Ipv4] {
         &self.target_arena[self.target_offsets[i] as usize..self.target_offsets[i + 1] as usize]
@@ -1138,6 +1147,8 @@ mod tests {
         assert_eq!(cols.get(1).attack_id, AttackId(3));
         assert_eq!(cols.targets(1), &[Ipv4(4)]);
         assert_eq!(cols.target_arena.len(), 3, "rolled-back targets evicted");
+        cols.clear();
+        assert_eq!(cols, ObservationColumns::new());
     }
 
     #[test]

@@ -399,16 +399,18 @@ fn cmd_config() -> ExitCode {
 }
 
 fn cmd_run(opts: &Options) -> ExitCode {
-    let wanted: Vec<&str> = if opts.ids.is_empty() {
-        all_ids().to_vec()
-    } else {
-        opts.ids.iter().map(|s| s.as_str()).collect()
-    };
-    for id in &wanted {
-        if !all_ids().contains(id) {
+    // Resolved to the registry's own `&'static str` ids, which name the
+    // per-experiment spans.
+    let mut wanted: Vec<&'static str> = Vec::new();
+    if opts.ids.is_empty() {
+        wanted.extend(all_ids());
+    }
+    for id in &opts.ids {
+        let Some(&known) = all_ids().iter().find(|&&known| known == id) else {
             obs::error!("unknown experiment {id:?}; known: {:?}", all_ids());
             return ExitCode::from(2);
-        }
+        };
+        wanted.push(known);
     }
     let cfg = match build_config(opts) {
         Ok(cfg) => cfg,
@@ -438,6 +440,7 @@ fn cmd_run(opts: &Options) -> ExitCode {
     }
     let analyze_span = obs::span!("analyze");
     for id in wanted {
+        let _experiment_span = obs::span!(id);
         // `wanted` is pre-checked against `all_ids`, but a registry
         // mismatch should surface as a diagnostic, not a panic.
         let Some(result) = run_experiment(&run, id) else {

@@ -12,11 +12,13 @@
 use super::ExperimentResult;
 use crate::pipeline::{ObsId, StudyRun};
 use crate::render::text_table;
-use analytics::best_lag;
+use analytics::{best_lag, membership, TargetTuple};
+use attackgen::{AttackRef, ObservationColumns};
 use flowmon::{MitigationModel, MitigationParams};
+use netmodel::AmpVector;
 use reports::{period_sensitivity, synthesize, table1_industry_counts, TrendClaim};
 use simcore::SimRng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use telescope::Telescope;
 
 /// Lead/lag matrix over the ten main series.
@@ -153,23 +155,26 @@ pub fn vendor_reports(run: &StudyRun) -> ExperimentResult {
 /// Hopscotch saw more targets attacked via CLDAP ... for QOTD, RPC and
 /// NTP both had largely overlapping target sets").
 pub fn protocols(run: &StudyRun) -> ExperimentResult {
-    // Join observations back to ground-truth vectors.
-    let vector_of: HashMap<u64, netmodel::AmpVector> = run
+    // Join observations back to ground-truth vectors through an
+    // id-sorted index of the amplification attacks.
+    let mut vector_of: Vec<(u64, AmpVector)> = run
         .attacks
         .iter()
         .filter_map(|a| a.vector.amp_vector().map(|v| (a.id.0, v)))
         .collect();
-    let per_vector_targets = |id: ObsId| -> HashMap<netmodel::AmpVector, HashSet<(i64, netmodel::Ipv4)>> {
-        let mut out: HashMap<netmodel::AmpVector, HashSet<(i64, netmodel::Ipv4)>> = HashMap::new();
+    vector_of.sort_unstable_by_key(|&(id, _)| id);
+    // One sorted, deduplicated target set per vector.
+    let per_vector_targets = |id: ObsId| -> Vec<Vec<TargetTuple>> {
+        let mut out = vec![Vec::new(); AmpVector::ALL.len()];
         for o in run.observations(id).iter() {
-            let Some(&v) = vector_of.get(&o.attack_id.0) else {
+            let Ok(i) = vector_of.binary_search_by_key(&o.attack_id.0, |&(id, _)| id) else {
                 continue;
             };
-            let day = o.start.day_index();
-            let set = out.entry(v).or_default();
-            for &t in o.targets {
-                set.insert((day, t));
-            }
+            out[vector_of[i].1 as usize].extend(o.target_tuples());
+        }
+        for set in &mut out {
+            set.sort_unstable();
+            set.dedup();
         }
         out
     };
@@ -177,13 +182,13 @@ pub fn protocols(run: &StudyRun) -> ExperimentResult {
     let amp = per_vector_targets(ObsId::AmpPot);
     let mut rows = Vec::new();
     let mut csv = String::from("vector,amppot_targets,hopscotch_targets,shared,shared_of_smaller\n");
-    for v in netmodel::AmpVector::ALL {
-        let a = amp.get(&v).map(|s| s.len()).unwrap_or(0);
-        let h = hop.get(&v).map(|s| s.len()).unwrap_or(0);
-        let shared = match (amp.get(&v), hop.get(&v)) {
-            (Some(sa), Some(sh)) => sa.intersection(sh).count(),
-            _ => 0,
-        };
+    for v in AmpVector::ALL {
+        let (a, h) = (&amp[v as usize], &hop[v as usize]);
+        let shared = membership(&[a, h])
+            .iter()
+            .filter(|&&(_, mask)| mask == 0b11)
+            .count();
+        let (a, h) = (a.len(), h.len());
         let denom = a.min(h);
         let share = if denom > 0 {
             shared as f64 / denom as f64
@@ -237,27 +242,48 @@ pub fn interference(run: &StudyRun) -> ExperimentResult {
             },
         ),
     ];
+    let models = scenarios
+        .each_ref()
+        .map(|(_, params)| MitigationModel::new(params.clone()));
+    let telescopes = [
+        ("UCSD", Telescope::ucsd(&run.plan)),
+        ("ORION", Telescope::orion(&run.plan)),
+    ];
+    // The baseline verdict does not depend on the scenario: observe each
+    // DPS row once per telescope, and again only for a scenario whose
+    // mitigation actually shortens it (an untouched row is the same RNG
+    // fork on the same row, so it keeps its baseline verdict).
+    let mut baseline = [0usize; 2];
+    let mut mitigated = [[0usize; 2]; 2];
+    let mut scratch = ObservationColumns::new();
+    let mut seen = |a: AttackRef<'_>, tele: &Telescope| -> bool {
+        scratch.clear();
+        tele.observe_into(a, &root, &mut scratch)
+    };
+    for a in run.attacks.iter() {
+        if a.class != attackgen::AttackClass::DirectPathSpoofed {
+            continue;
+        }
+        let durations = models
+            .each_ref()
+            .map(|m| m.effective_duration_secs(a, &run.plan, &root));
+        for (t, (_, tele)) in telescopes.iter().enumerate() {
+            let base = seen(a, tele);
+            baseline[t] += base as usize;
+            for (s, &duration_secs) in durations.iter().enumerate() {
+                mitigated[s][t] += if duration_secs == a.duration_secs {
+                    base
+                } else {
+                    seen(AttackRef { duration_secs, ..a }, tele)
+                } as usize;
+            }
+        }
+    }
     let mut rows = Vec::new();
     let mut csv = String::from("scenario,telescope,baseline,with_mitigation,lost_share\n");
-    for (scenario, params) in scenarios {
-        let model = MitigationModel::new(params);
-        for (name, tele) in [
-            ("UCSD", Telescope::ucsd(&run.plan)),
-            ("ORION", Telescope::orion(&run.plan)),
-        ] {
-            let mut baseline = 0usize;
-            let mut mitigated = 0usize;
-            for a in run.attacks.iter() {
-                if a.class != attackgen::AttackClass::DirectPathSpoofed {
-                    continue;
-                }
-                // The mitigation model rewrites attack fields, so this
-                // cold path materializes the row once per DPS attack.
-                let a = a.to_attack();
-                baseline += tele.observe(&a, &root).is_some() as usize;
-                let truncated = model.apply(&a, &run.plan, &root);
-                mitigated += tele.observe(&truncated, &root).is_some() as usize;
-            }
+    for (s, (scenario, _)) in scenarios.iter().enumerate() {
+        for (t, (name, _)) in telescopes.iter().enumerate() {
+            let (baseline, mitigated) = (baseline[t], mitigated[s][t]);
             let lost = 1.0 - mitigated as f64 / baseline.max(1) as f64;
             csv.push_str(&format!(
                 "{scenario},{name},{baseline},{mitigated},{lost:.4}\n"
@@ -419,11 +445,13 @@ pub fn seasonality(run: &StudyRun) -> ExperimentResult {
 /// Netscout's direct-path alerts over the study.
 pub fn l7_growth(run: &StudyRun) -> ExperimentResult {
     use attackgen::attack::AttackVector;
-    let is_l7: HashMap<u64, bool> = run
+    let mut l7_ids: Vec<u64> = run
         .attacks
         .iter()
-        .map(|a| (a.id.0, a.vector == AttackVector::HttpFlood))
+        .filter(|a| a.vector == AttackVector::HttpFlood)
+        .map(|a| a.id.0)
         .collect();
+    l7_ids.sort_unstable();
     let mut l7 = vec![0.0; simcore::STUDY_WEEKS];
     let mut other = vec![0.0; simcore::STUDY_WEEKS];
     for o in run.observations(ObsId::NetscoutDp).iter() {
@@ -431,7 +459,7 @@ pub fn l7_growth(run: &StudyRun) -> ExperimentResult {
         if !(0..simcore::STUDY_WEEKS as i64).contains(&w) {
             continue;
         }
-        if is_l7.get(&o.attack_id.0).copied().unwrap_or(false) {
+        if l7_ids.binary_search(&o.attack_id.0).is_ok() {
             l7[w as usize] += 1.0;
         } else {
             other[w as usize] += 1.0;
@@ -472,55 +500,81 @@ pub fn l7_growth(run: &StudyRun) -> ExperimentResult {
 /// size, duration, vectors, methods): what an omniscient industry
 /// report would have published about the simulated 4.5 years.
 pub fn population(run: &StudyRun) -> ExperimentResult {
-    use attackgen::AttackClass;
     let percentile = |sorted: &[f64], p: f64| -> f64 {
         if sorted.is_empty() {
             return f64::NAN;
         }
         sorted[((sorted.len() - 1) as f64 * p).round() as usize]
     };
+    // One pass over the population buckets the scalars each row reports
+    // by (year, DP/RA); durations stay `u32` until sorted.
+    const YEARS: std::ops::RangeInclusive<i32> = 2019..=2023;
+    let bounds: Vec<simcore::SimTime> = (*YEARS.start()..=*YEARS.end() + 1)
+        .map(|year| simcore::Date::new(year, 1, 1).to_sim_time())
+        .collect();
+    #[derive(Default)]
+    struct Bucket {
+        durations: Vec<u32>,
+        pps: Vec<f64>,
+        carpet: usize,
+    }
+    let mut buckets: Vec<[Bucket; 2]> = YEARS.map(|_| Default::default()).collect();
+    let mut short = 0usize;
+    for a in run.attacks.iter() {
+        short += (a.duration_secs < 600) as usize;
+        let class = if a.class.is_direct_path() {
+            0
+        } else if a.class.is_reflection() {
+            1
+        } else {
+            continue;
+        };
+        let Some(year) = bounds
+            .windows(2)
+            .position(|w| a.start >= w[0] && a.start < w[1])
+        else {
+            continue;
+        };
+        let b = &mut buckets[year][class];
+        b.durations.push(a.duration_secs);
+        b.pps.push(a.pps);
+        b.carpet += a.is_carpet_bombing() as usize;
+    }
     let mut body = String::new();
     let mut csv = String::from(
         "year,class,count,duration_p50_s,duration_p90_s,pps_p50,pps_p99,carpet_share\n",
     );
     let mut rows = Vec::new();
-    for year in 2019..=2023 {
-        let lo = simcore::Date::new(year, 1, 1).to_sim_time();
-        let hi = simcore::Date::new(year + 1, 1, 1).to_sim_time();
-        for (label, pred) in [
-            ("DP", AttackClass::is_direct_path as fn(AttackClass) -> bool),
-            ("RA", AttackClass::is_reflection as fn(AttackClass) -> bool),
-        ] {
-            let subset: Vec<attackgen::AttackRef<'_>> = run
-                .attacks
-                .iter()
-                .filter(|a| a.start >= lo && a.start < hi && pred(a.class))
-                .collect();
-            if subset.is_empty() {
+    for (year, classes) in YEARS.zip(&mut buckets) {
+        for (label, b) in ["DP", "RA"].into_iter().zip(classes) {
+            let n = b.durations.len();
+            if n == 0 {
                 continue;
             }
-            let mut durations: Vec<f64> =
-                subset.iter().map(|a| a.duration_secs as f64).collect();
-            durations.sort_by(|a, b| a.total_cmp(b));
-            let mut pps: Vec<f64> = subset.iter().map(|a| a.pps).collect();
-            pps.sort_by(|a, b| a.total_cmp(b));
-            let carpet = subset.iter().filter(|a| a.is_carpet_bombing()).count();
-            let carpet_share = carpet as f64 / subset.len() as f64;
+            b.durations.sort_unstable();
+            let durations: Vec<f64> = b.durations.iter().map(|&d| d as f64).collect();
+            b.pps.sort_by(|a, b| a.total_cmp(b));
+            let pps = &b.pps;
+            let carpet_share = b.carpet as f64 / n as f64;
             csv.push_str(&format!(
                 "{year},{label},{},{:.0},{:.0},{:.0},{:.0},{:.4}\n",
-                subset.len(),
+                n,
                 percentile(&durations, 0.5),
                 percentile(&durations, 0.9),
-                percentile(&pps, 0.5),
-                percentile(&pps, 0.99),
+                percentile(pps, 0.5),
+                percentile(pps, 0.99),
                 carpet_share,
             ));
             rows.push(vec![
                 format!("{year}"),
                 label.to_string(),
-                format!("{}", subset.len()),
-                format!("{:.0}s / {:.0}s", percentile(&durations, 0.5), percentile(&durations, 0.9)),
-                format!("{:.0} / {:.0}", percentile(&pps, 0.5), percentile(&pps, 0.99)),
+                format!("{n}"),
+                format!(
+                    "{:.0}s / {:.0}s",
+                    percentile(&durations, 0.5),
+                    percentile(&durations, 0.9)
+                ),
+                format!("{:.0} / {:.0}", percentile(pps, 0.5), percentile(pps, 0.99)),
                 format!("{:.1}%", 100.0 * carpet_share),
             ]);
         }
@@ -530,11 +584,6 @@ pub fn population(run: &StudyRun) -> ExperimentResult {
         &rows,
     ));
     // "Most attacks under 10 min" (§3): verify against the population.
-    let short = run
-        .attacks
-        .iter()
-        .filter(|a| a.duration_secs < 600)
-        .count();
     body.push_str(&format!(
         "\nAttacks under 10 minutes: {:.1}% (the §3 \"most attacks under 10 min\" claim)\n",
         100.0 * short as f64 / run.attacks.len().max(1) as f64

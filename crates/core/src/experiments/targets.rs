@@ -6,15 +6,16 @@ use super::ExperimentResult;
 use crate::pipeline::{ObsId, StudyRun};
 use crate::render::{series_csv, sparkline, text_table};
 use analytics::{
-    confirmation_shares, ip_overlap_share, new_vs_recurring, upset, weekly_overlap,
+    confirmation_shares, ip_overlap_share, membership, new_vs_recurring, upset, weekly_overlap,
     TargetTuple, UpsetAnalysis, WeeklySeries,
 };
-use std::collections::HashMap;
 
-fn academic_sets(run: &StudyRun) -> Vec<(String, Vec<TargetTuple>)> {
+/// The four academic target sets, borrowed from the run's sorted,
+/// deduplicated projections.
+fn academic_sets(run: &StudyRun) -> Vec<(String, &[TargetTuple])> {
     ObsId::ACADEMIC
         .iter()
-        .map(|&id| (id.name().to_string(), run.target_tuples(id).to_vec()))
+        .map(|&id| (id.name().to_string(), run.target_tuples(id)))
         .collect()
 }
 
@@ -85,19 +86,17 @@ fn hopscotch_idx(u: &UpsetAnalysis) -> usize {
     idx_of(u, "Hopscotch")
 }
 
-/// The (day, ip) tuples seen by every academic observatory.
-fn all_four_tuples(run: &StudyRun) -> Vec<TargetTuple> {
-    let sets = academic_sets(run);
-    let mut membership: HashMap<TargetTuple, u16> = HashMap::new();
-    for (i, (_, tuples)) in sets.iter().enumerate() {
-        for &t in tuples {
-            *membership.entry(t).or_insert(0) |= 1 << i;
-        }
-    }
+/// The (day, ip) tuples seen by every academic observatory, in tuple
+/// order (the highly-visible targets of Fig. 8 and Table 4).
+pub(super) fn all_four_tuples(run: &StudyRun) -> Vec<TargetTuple> {
+    let sets: Vec<&[TargetTuple]> = ObsId::ACADEMIC
+        .iter()
+        .map(|&id| run.target_tuples(id))
+        .collect();
     let full = (1u16 << sets.len()) - 1;
-    membership
+    membership(&sets)
         .into_iter()
-        .filter(|&(_, m)| m == full)
+        .filter(|&(_, mask)| mask == full)
         .map(|(t, _)| t)
         .collect()
 }
@@ -129,7 +128,7 @@ pub fn fig8(run: &StudyRun) -> ExperimentResult {
 }
 
 fn confirmation_body(
-    sets: &[(String, Vec<TargetTuple>)],
+    sets: &[(String, &[TargetTuple])],
     industry: &[TargetTuple],
     industry_name: &str,
 ) -> (String, String) {
@@ -177,7 +176,7 @@ fn confirmation_body(
 pub fn fig9(run: &StudyRun) -> ExperimentResult {
     let sets = academic_sets(run);
     let baseline = run.netscout_baseline_tuples();
-    let (body, csv) = confirmation_body(&sets, &baseline, "Netscout (baseline sample)");
+    let (body, csv) = confirmation_body(&sets, baseline, "Netscout (baseline sample)");
     ExperimentResult {
         id: "fig9",
         title: "Figure 9: Netscout confirmation of academic targets".into(),
@@ -190,7 +189,7 @@ pub fn fig9(run: &StudyRun) -> ExperimentResult {
 pub fn fig13(run: &StudyRun) -> ExperimentResult {
     let sets = academic_sets(run);
     let akamai = run.akamai_tuples();
-    let (body, csv) = confirmation_body(&sets, &akamai, "Akamai");
+    let (body, csv) = confirmation_body(&sets, akamai, "Akamai");
     ExperimentResult {
         id: "fig13",
         title: "Figure 13 (App. G): Akamai confirmation of academic targets".into(),
@@ -205,8 +204,8 @@ pub fn fig10(run: &StudyRun) -> ExperimentResult {
     let ucsd = run.target_tuples(ObsId::Ucsd);
     let hops = run.target_tuples(ObsId::Hopscotch);
     let amppot = run.target_tuples(ObsId::AmpPot);
-    let tel = weekly_overlap(&ucsd, &orion);
-    let hp = weekly_overlap(&hops, &amppot);
+    let tel = weekly_overlap(ucsd, orion);
+    let hp = weekly_overlap(hops, amppot);
     let body = format!(
         "(a) Telescopes — weekly targets\n  UCSD:    {}\n  ORION:   {}\n  shared:  {}\n\n(b) Honeypots — weekly targets\n  Hopscotch: {}\n  AmpPot:    {}\n  shared:    {}\n",
         sparkline(&tel.a, 47),
@@ -243,22 +242,19 @@ pub fn stats7(run: &StudyRun) -> ExperimentResult {
     let sets = academic_sets(run);
     let u = upset(&sets);
     // Multi-type targets: tuples seen by at least one telescope AND at
-    // least one honeypot (the two attack classes).
-    let mut membership: HashMap<TargetTuple, u16> = HashMap::new();
-    for (i, (_, tuples)) in sets.iter().enumerate() {
-        for &t in tuples {
-            *membership.entry(t).or_insert(0) |= 1 << i;
-        }
-    }
+    // least one honeypot (the two attack classes) — a sum over the
+    // exclusive intersections.
     let tel_mask: u16 = (1 << orion_idx(&u)) | (1 << ucsd_idx(&u));
     let hp_mask: u16 = (1 << hopscotch_idx(&u)) | (1 << amppot_idx(&u));
-    let multi_type = membership
-        .values()
-        .filter(|&&m| m & tel_mask != 0 && m & hp_mask != 0)
-        .count();
+    let multi_type: usize = u
+        .exclusive
+        .iter()
+        .filter(|&(&m, _)| m & tel_mask != 0 && m & hp_mask != 0)
+        .map(|(_, &n)| n)
+        .sum();
     let all_four = u.at_least(u.full_mask());
-    let amppot_tuples = &sets[amppot_idx(&u)].1;
-    let ucsd_tuples = &sets[ucsd_idx(&u)].1;
+    let amppot_tuples = sets[amppot_idx(&u)].1;
+    let ucsd_tuples = sets[ucsd_idx(&u)].1;
     let jonker = ip_overlap_share(amppot_tuples, ucsd_tuples);
 
     let total = u.total_distinct.max(1);

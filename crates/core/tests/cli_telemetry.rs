@@ -129,3 +129,32 @@ fn telemetry_env_var_is_honored() {
     assert_eq!(v.get("run").unwrap().get("workers"), Some(&Value::Null));
     assert!(v.get("metrics").unwrap().get("counters").unwrap().get("gen.attacks").is_some());
 }
+
+#[test]
+fn run_telemetry_times_every_experiment() {
+    let path = manifest_path("run");
+    let out_dir = std::env::temp_dir().join(format!("ddoscovery-run-{}", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_ddoscovery"))
+        .args(["run", "--quick", "--workers", "2", "--telemetry"])
+        .arg(&path)
+        .arg("--out")
+        .arg(&out_dir)
+        .env("DDOSCOVERY_LOG", "error")
+        .output()
+        .expect("spawn ddoscovery");
+    std::fs::remove_dir_all(&out_dir).ok();
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(&path).expect("manifest file");
+    std::fs::remove_file(&path).ok();
+    let v: Value = serde_json::from_str(&text).expect("manifest parses");
+    let histograms = v.get("metrics").unwrap().get("histograms").unwrap();
+    // One span per experiment, nested under the analyze stage.
+    assert_eq!(ddoscovery::all_ids().len(), 26);
+    for id in ddoscovery::all_ids() {
+        let name = format!("span.run.analyze.{id}");
+        let hist = histograms
+            .get(&name)
+            .unwrap_or_else(|| panic!("missing histogram {name}"));
+        assert_eq!(uint(hist.get("count").unwrap()), 1, "{name} count");
+    }
+}

@@ -10,7 +10,7 @@
 //! `interference` experiment quantifies how much telescope visibility
 //! this removes.
 
-use attackgen::Attack;
+use attackgen::AttackRef;
 use netmodel::InternetPlan;
 use serde::{Deserialize, Serialize};
 use simcore::SimRng;
@@ -59,7 +59,7 @@ impl MitigationModel {
     /// (forked from the attack id).
     pub fn effective_duration_secs(
         &self,
-        attack: &Attack,
+        attack: AttackRef<'_>,
         plan: &InternetPlan,
         root: &SimRng,
     ) -> u32 {
@@ -83,21 +83,13 @@ impl MitigationModel {
             _ => attack.duration_secs,
         }
     }
-
-    /// Convenience: a clone of the attack with its duration truncated to
-    /// the effective value (what the telescope's visibility math should
-    /// consume under interference).
-    pub fn apply(&self, attack: &Attack, plan: &InternetPlan, root: &SimRng) -> Attack {
-        let mut truncated = attack.clone();
-        truncated.duration_secs = self.effective_duration_secs(attack, plan, root);
-        truncated
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use attackgen::attack::{AttackClass, AttackId, AttackVector};
+    use attackgen::Attack;
     use netmodel::{Asn, Ipv4, NetScale};
 
     fn plan() -> InternetPlan {
@@ -137,7 +129,7 @@ mod tests {
             })
             .unwrap();
         let a = rsdos(1, outsider.prefixes[0].nth(1), outsider.asn, 3600);
-        assert_eq!(m.effective_duration_secs(&a, &plan, &root), 3600);
+        assert_eq!(m.effective_duration_secs(a.view(), &plan, &root), 3600);
     }
 
     #[test]
@@ -151,7 +143,7 @@ mod tests {
         let target = plan.akamai_prefix_list[0].nth(1);
         let asn = plan.asn_of(target).unwrap();
         let a = rsdos(1, target, asn, 3600);
-        assert_eq!(m.effective_duration_secs(&a, &plan, &root), 45);
+        assert_eq!(m.effective_duration_secs(a.view(), &plan, &root), 45);
     }
 
     #[test]
@@ -165,7 +157,7 @@ mod tests {
         let target = plan.akamai_prefix_list[0].nth(1);
         let asn = plan.asn_of(target).unwrap();
         let a = rsdos(1, target, asn, 30); // finishes before the delay
-        assert_eq!(m.effective_duration_secs(&a, &plan, &root), 30);
+        assert_eq!(m.effective_duration_secs(a.view(), &plan, &root), 30);
     }
 
     #[test]
@@ -180,28 +172,10 @@ mod tests {
         let asn = plan.asn_of(target).unwrap();
         let truncated = (0..400)
             .filter(|&id| {
-                m.effective_duration_secs(&rsdos(id, target, asn, 3600), &plan, &root) == 45
+                m.effective_duration_secs(rsdos(id, target, asn, 3600).view(), &plan, &root) == 45
             })
             .count();
         assert!((140..=260).contains(&truncated), "truncated {truncated}/400");
-    }
-
-    #[test]
-    fn apply_only_changes_duration() {
-        let plan = plan();
-        let m = MitigationModel::new(MitigationParams {
-            suppression_probability: 1.0,
-            ..MitigationParams::default()
-        });
-        let root = SimRng::new(1);
-        let target = plan.akamai_prefix_list[0].nth(1);
-        let asn = plan.asn_of(target).unwrap();
-        let a = rsdos(1, target, asn, 3600);
-        let t = m.apply(&a, &plan, &root);
-        assert_eq!(t.duration_secs, 45);
-        assert_eq!(t.id, a.id);
-        assert_eq!(t.targets, a.targets);
-        assert_eq!(t.pps, a.pps);
     }
 
     #[test]
@@ -212,9 +186,9 @@ mod tests {
         let target = plan.akamai_prefix_list[0].nth(1);
         let asn = plan.asn_of(target).unwrap();
         let a = rsdos(42, target, asn, 3600);
-        let first = m.effective_duration_secs(&a, &plan, &root);
+        let first = m.effective_duration_secs(a.view(), &plan, &root);
         for _ in 0..10 {
-            assert_eq!(m.effective_duration_secs(&a, &plan, &root), first);
+            assert_eq!(m.effective_duration_secs(a.view(), &plan, &root), first);
         }
     }
 }
