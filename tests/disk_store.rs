@@ -243,3 +243,39 @@ fn truncation_at_every_header_boundary_is_rejected() {
 
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// Digest of every cell a cold run writes: each cell's store-relative
+/// path and bytes, NUL-terminated, folded in sorted path order.
+fn store_digest(dir: &Path) -> u64 {
+    let mut h = obs::manifest::Fnv::new();
+    for path in cell_files(dir) {
+        let rel = path.strip_prefix(dir).expect("cell lies under the store");
+        h.write(rel.to_string_lossy().as_bytes()).write(b"\0");
+        h.write(&fs::read(&path).expect("read cell")).write(b"\0");
+    }
+    h.finish()
+}
+
+/// Digest of the 14 cells of `tiny_cfg(0xD15C_0004, _)`, recorded on
+/// the per-stage-method store before both tiers moved to one generic
+/// stage API. A change to the cell framing, a payload codec, a kind
+/// tag or the directory layout fails here.
+const CELL_FORMAT_GOLDEN: u64 = 0xc710_835c_4c78_d247;
+
+/// The on-disk cell format is frozen: a cold run into a fresh store
+/// writes the same 14 files, byte for byte, as the reference build.
+#[test]
+fn cell_format_matches_frozen_golden() {
+    let _guard = serialize();
+    let dir = scratch_dir("golden");
+    let cfg = tiny_cfg(0xD15C_0004, &dir);
+    StageCache::global().clear();
+    let _ = StudyRun::execute(&cfg);
+    assert_eq!(cell_files(&dir).len() as u64, CELLS_PER_RUN);
+    let got = store_digest(&dir);
+    let _ = fs::remove_dir_all(&dir);
+    assert_eq!(
+        got, CELL_FORMAT_GOLDEN,
+        "stage cells diverged from the frozen format (got {got:#018x})"
+    );
+}
