@@ -8,8 +8,9 @@ test: lint
 	cargo build --release
 	cargo test -q --release --workspace
 
+# The repo lint: eight source rules, in tests/repo_lint.rs.
 lint:
-	sh tools/lint.sh
+	cargo test -q --release --test repo_lint
 
 bench:
 	cargo bench --workspace
@@ -45,10 +46,12 @@ regress:
 # Everything `test` gates on, plus a compile-only smoke of every bench
 # target so bench drift cannot rot outside the tier-1 path, plus the
 # benchmark of record's own tests, so a public-API change that breaks
-# `perfbench/` fails here rather than in the benchmark run.
+# `perfbench/` fails here rather than in the benchmark run, plus the
+# cross-process warm-store smoke, which pins the stage counters.
 check: test
 	cargo bench --workspace --no-run
 	cargo test --release --offline --manifest-path perfbench/Cargo.toml
+	$(MAKE) store
 
 # 10M-attack scale path (DESIGN.md §9): per-stage peak-RSS probes in
 # separate processes (VmHWM is monotone, so stages must not share one),

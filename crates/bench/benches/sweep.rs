@@ -47,7 +47,7 @@ fn timed_sweep(cfg: &StudyConfig) -> u64 {
 
 fn stats() -> [(Stage, StageStats); 3] {
     let cache = StageCache::global();
-    [Stage::Plan, Stage::Attacks, Stage::Observations].map(|s| (s, cache.stats(s)))
+    Stage::ALL.map(|s| (s, cache.stats(s)))
 }
 
 fn main() {

@@ -2,9 +2,9 @@
 //!
 //! A disk tier under the in-memory [`crate::StageCache`]: each stage
 //! output — the Internet plan, the columnar attack stream, the eleven
-//! observation streams, and the raw Netscout alert stream — is
-//! serialized through the hand-rolled wire codecs (`netmodel::wire`,
-//! `attackgen::wire`) into one *cell* file at
+//! observation streams, and the raw Netscout alert stream, i.e. every
+//! [`StageOutput`] — is serialized through its hand-rolled wire codec
+//! (`netmodel::wire`, `attackgen::wire`) into one *cell* file at
 //! `<dir>/<stage>/<fingerprint>`, keyed by the same chained
 //! fingerprints the memory cache uses. Repeated CLI invocations and
 //! cross-process sweeps therefore share warm stages: a second process
@@ -32,7 +32,7 @@
 //! executions", and a disk load is precisely the absence of one.
 
 use crate::scenario::StudyConfig;
-use crate::stagecache::Stage;
+use crate::stagecache::{Stage, StageOutput};
 use attackgen::{AttackColumns, ObservationColumns};
 use flowmon::AlertColumns;
 use netmodel::InternetPlan;
@@ -89,15 +89,6 @@ fn cell_checksum(payload: &[u8]) -> u64 {
     h
 }
 
-/// Payload kind tags (header byte 6). Observation streams and the
-/// Netscout alert stream share a stage directory but carry distinct
-/// kinds, so a key collision across kinds can never type-confuse a
-/// load.
-const TAG_PLAN: u8 = 0;
-const TAG_ATTACKS: u8 = 1;
-const TAG_OBSERVATIONS: u8 = 2;
-const TAG_ALERTS: u8 = 3;
-
 /// Resolve the effective store directory for a config: the config
 /// knob wins, then [`STORE_ENV`], then off. An empty or `off` value
 /// disables the store at either level (so a config can force the
@@ -127,18 +118,9 @@ fn enabled_dir(dir: &str) -> Option<PathBuf> {
     }
 }
 
-const STAGES: [Stage; 3] = [Stage::Plan, Stage::Attacks, Stage::Observations];
-
-const fn idx(stage: Stage) -> usize {
-    match stage {
-        Stage::Plan => 0,
-        Stage::Attacks => 1,
-        Stage::Observations => 2,
-    }
-}
-
-/// Frame a payload into cell bytes: header (see [`CELL_HEADER_LEN`])
-/// followed by the payload verbatim.
+/// Frame a payload of kind `tag` ([`StageOutput::KIND`]) into cell
+/// bytes: header (see [`CELL_HEADER_LEN`]) followed by the payload
+/// verbatim.
 fn encode_cell(tag: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(CELL_HEADER_LEN + payload.len());
     out.extend_from_slice(&CELL_MAGIC);
@@ -236,7 +218,7 @@ impl DiskStore {
     /// every manifest of a store-enabled run.
     pub fn open(dir: PathBuf) -> DiskStore {
         let handle = |kind: &str| {
-            STAGES.map(|s| obs::metrics::counter(&format!("stage.{}.disk_{kind}", s.name())))
+            Stage::ALL.map(|s| obs::metrics::counter(&format!("stage.{}.disk_{kind}", s.name())))
         };
         DiskStore {
             dir,
@@ -256,54 +238,73 @@ impl DiskStore {
         self.dir.join(stage.name()).join(format!("{key:016x}"))
     }
 
-    /// Read and header-validate one cell. `None` is either a clean
-    /// miss (no file, counted `disk_miss`) or a rejection (anything
-    /// else, counted `disk_reject` and warned).
-    fn load_cell(&self, stage: Stage, tag: u8, key: u64) -> Option<Vec<u8>> {
-        let path = self.cell_path(stage, key);
+    /// The stored value for `key`, if present and intact. `None` is
+    /// either a clean miss (no file, counted `disk_miss`) or a
+    /// rejection (anything else — including a checksum-valid payload
+    /// that fails wire decoding — counted `disk_reject` and warned).
+    pub fn load<T: StageOutput>(&self, key: u64) -> Option<Arc<T>> {
+        let stage = T::STAGE.index();
+        let path = self.cell_path(T::STAGE, key);
         let bytes = match fs::read(&path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                self.miss[idx(stage)].inc();
+                self.miss[stage].inc();
                 return None;
             }
             Err(e) => {
                 obs::warn!("disk store: reading {} failed: {e}; recomputing", path.display());
-                self.reject[idx(stage)].inc();
+                self.reject[stage].inc();
                 return None;
             }
         };
-        match check_cell(&bytes, tag) {
-            Ok(_) => Some(bytes),
+        let decoded = check_cell(&bytes, T::KIND)
+            .and_then(|payload| T::decode(payload).map_err(|why| format!("payload: {why}")));
+        match decoded {
+            Ok(v) => {
+                self.hit[stage].inc();
+                Some(Arc::new(v))
+            }
             Err(why) => {
                 obs::warn!("disk store: rejecting {}: {why}; recomputing", path.display());
-                self.reject[idx(stage)].inc();
+                self.reject[stage].inc();
                 None
             }
         }
     }
 
-    /// A checksum-valid cell whose payload fails wire decoding is a
-    /// rejection too (codec skew within one format version).
-    fn reject_payload(&self, stage: Stage, key: u64, why: &str) {
-        let path = self.cell_path(stage, key);
-        obs::warn!("disk store: rejecting {}: payload: {why}; recomputing", path.display());
-        self.reject[idx(stage)].inc();
+    /// [`DiskStore::load`] of an Internet plan.
+    pub fn load_plan(&self, key: u64) -> Option<Arc<InternetPlan>> {
+        self.load(key)
     }
 
-    /// Frame `payload` and write it as the cell for (`stage`, `key`):
-    /// to a same-directory temporary sibling first, then atomically
-    /// renamed into place, so concurrent readers and crashes never see
-    /// a torn cell. IO errors warn and drop the write — the store is a
-    /// cache, not a system of record.
-    fn store_cell(&self, stage: Stage, tag: u8, key: u64, payload: &[u8]) {
-        let path = self.cell_path(stage, key);
+    /// [`DiskStore::load`] of an attack stream.
+    pub fn load_attacks(&self, key: u64) -> Option<Arc<AttackColumns>> {
+        self.load(key)
+    }
+
+    /// [`DiskStore::load`] of an observation stream.
+    pub fn load_observations(&self, key: u64) -> Option<Arc<ObservationColumns>> {
+        self.load(key)
+    }
+
+    /// [`DiskStore::load`] of a Netscout alert stream.
+    pub fn load_alerts(&self, key: u64) -> Option<Arc<AlertColumns>> {
+        self.load(key)
+    }
+
+    /// Persist a freshly computed value as the cell for `key`: framed,
+    /// written to a same-directory temporary sibling first, then
+    /// atomically renamed into place, so concurrent readers and
+    /// crashes never see a torn cell. IO errors warn and drop the
+    /// write — the store is a cache, not a system of record.
+    pub fn store<T: StageOutput>(&self, key: u64, value: &T) {
+        let path = self.cell_path(T::STAGE, key);
         let Some(parent) = path.parent() else { return };
         if let Err(e) = fs::create_dir_all(parent) {
             obs::warn!("disk store: creating {} failed: {e}", parent.display());
             return;
         }
-        let bytes = encode_cell(tag, payload);
+        let bytes = encode_cell(T::KIND, &value.encode());
         let tmp = parent.join(format!(".{key:016x}.tmp.{}", std::process::id()));
         // Transient faults (EINTR and friends) get a bounded retry; a
         // persistent error still only warns and drops the write.
@@ -320,93 +321,12 @@ impl DiskStore {
                 fs::rename(&tmp, &path)
             });
         match published {
-            Ok(()) => self.write[idx(stage)].inc(),
+            Ok(()) => self.write[T::STAGE.index()].inc(),
             Err(e) => {
                 obs::warn!("disk store: publishing {} failed: {e}", path.display());
                 let _ = fs::remove_file(&tmp);
             }
         }
-    }
-
-    /// The stored Internet plan for `key`, if present and intact.
-    pub fn load_plan(&self, key: u64) -> Option<Arc<InternetPlan>> {
-        let bytes = self.load_cell(Stage::Plan, TAG_PLAN, key)?;
-        match InternetPlan::from_wire_bytes(&bytes[CELL_HEADER_LEN..]) {
-            Ok(p) => {
-                self.hit[idx(Stage::Plan)].inc();
-                Some(Arc::new(p))
-            }
-            Err(why) => {
-                self.reject_payload(Stage::Plan, key, &why);
-                None
-            }
-        }
-    }
-
-    /// Persist a freshly built Internet plan.
-    pub fn store_plan(&self, key: u64, plan: &InternetPlan) {
-        self.store_cell(Stage::Plan, TAG_PLAN, key, &plan.to_wire_bytes());
-    }
-
-    /// The stored attack stream for `key`, if present and intact.
-    pub fn load_attacks(&self, key: u64) -> Option<Arc<AttackColumns>> {
-        let bytes = self.load_cell(Stage::Attacks, TAG_ATTACKS, key)?;
-        match AttackColumns::from_wire_bytes(&bytes[CELL_HEADER_LEN..]) {
-            Ok(a) => {
-                self.hit[idx(Stage::Attacks)].inc();
-                Some(Arc::new(a))
-            }
-            Err(why) => {
-                self.reject_payload(Stage::Attacks, key, &why);
-                None
-            }
-        }
-    }
-
-    /// Persist a freshly generated attack stream.
-    pub fn store_attacks(&self, key: u64, attacks: &AttackColumns) {
-        self.store_cell(Stage::Attacks, TAG_ATTACKS, key, &attacks.to_wire_bytes());
-    }
-
-    /// The stored observation stream for `key`, if present and intact.
-    pub fn load_observations(&self, key: u64) -> Option<Arc<ObservationColumns>> {
-        let bytes = self.load_cell(Stage::Observations, TAG_OBSERVATIONS, key)?;
-        match ObservationColumns::from_wire_bytes(&bytes[CELL_HEADER_LEN..]) {
-            Ok(v) => {
-                self.hit[idx(Stage::Observations)].inc();
-                Some(Arc::new(v))
-            }
-            Err(why) => {
-                self.reject_payload(Stage::Observations, key, &why);
-                None
-            }
-        }
-    }
-
-    /// Persist a freshly observed stream.
-    pub fn store_observations(&self, key: u64, v: &ObservationColumns) {
-        self.store_cell(Stage::Observations, TAG_OBSERVATIONS, key, &v.to_wire_bytes());
-    }
-
-    /// The stored Netscout alert stream for `key`, if present and
-    /// intact.
-    pub fn load_alerts(&self, key: u64) -> Option<Arc<AlertColumns>> {
-        let bytes = self.load_cell(Stage::Observations, TAG_ALERTS, key)?;
-        match AlertColumns::from_wire_bytes(&bytes[CELL_HEADER_LEN..]) {
-            Ok(v) => {
-                self.hit[idx(Stage::Observations)].inc();
-                Some(Arc::new(v))
-            }
-            Err(why) => {
-                self.reject_payload(Stage::Observations, key, &why);
-                None
-            }
-        }
-    }
-
-    /// Persist a freshly computed Netscout alert stream.
-    pub fn store_alerts(&self, key: u64, v: &AlertColumns) {
-        self.store_cell(Stage::Observations, TAG_ALERTS, key, &v.to_wire_bytes());
     }
 
     /// Every cell currently on disk, sorted by stage then key.
@@ -415,7 +335,7 @@ impl DiskStore {
     /// store another process is writing to.
     pub fn list(&self) -> Vec<CellInfo> {
         let mut cells = Vec::new();
-        for stage in STAGES {
+        for stage in Stage::ALL {
             let dir = self.dir.join(stage.name());
             let Ok(entries) = fs::read_dir(&dir) else { continue };
             for entry in entries.flatten() {
@@ -508,11 +428,11 @@ mod tests {
     #[test]
     fn cell_round_trips_and_is_framed() {
         let payload = b"hello stage store".to_vec();
-        let bytes = encode_cell(TAG_PLAN, &payload);
+        let bytes = encode_cell(InternetPlan::KIND, &payload);
         assert_eq!(bytes.len(), CELL_HEADER_LEN + payload.len());
-        assert_eq!(check_cell(&bytes, TAG_PLAN).unwrap(), &payload[..]);
+        assert_eq!(check_cell(&bytes, InternetPlan::KIND).unwrap(), &payload[..]);
         // Wrong expected kind is a type confusion, rejected.
-        assert!(check_cell(&bytes, TAG_ATTACKS).is_err());
+        assert!(check_cell(&bytes, AttackColumns::KIND).is_err());
     }
 
     #[test]
@@ -528,10 +448,10 @@ mod tests {
 
     #[test]
     fn every_truncation_and_flip_is_rejected() {
-        let bytes = encode_cell(TAG_OBSERVATIONS, &sample_obs().to_wire_bytes());
+        let bytes = encode_cell(ObservationColumns::KIND, &sample_obs().to_wire_bytes());
         for cut in 0..bytes.len() {
             assert!(
-                check_cell(&bytes[..cut], TAG_OBSERVATIONS).is_err(),
+                check_cell(&bytes[..cut], ObservationColumns::KIND).is_err(),
                 "truncation to {cut} bytes must be rejected"
             );
         }
@@ -539,28 +459,60 @@ mod tests {
             let mut bad = bytes.clone();
             bad[i] ^= 0x40;
             assert!(
-                check_cell(&bad, TAG_OBSERVATIONS).is_err(),
+                check_cell(&bad, ObservationColumns::KIND).is_err(),
                 "flip at byte {i} must be rejected"
             );
         }
+    }
+
+    fn sample_attacks() -> AttackColumns {
+        use attackgen::{Attack, AttackClass, AttackId, AttackVector};
+        use simcore::SimTime;
+        let mut cols = AttackColumns::new();
+        cols.push(&Attack {
+            id: AttackId(1),
+            class: AttackClass::DirectPathSpoofed,
+            vector: AttackVector::SynFlood,
+            start: SimTime(1000),
+            duration_secs: 60,
+            targets: vec![netmodel::Ipv4::new(10, 0, 0, 1)],
+            target_asn: netmodel::Asn(16276),
+            pps: 1.5e6,
+            bps: 9.9e9,
+            reflectors: None,
+            spoof_space_fraction: 1.0,
+            campaign: None,
+        });
+        cols
+    }
+
+    /// Store `v` under a fresh `key`, load it back, and compare the
+    /// wire bytes.
+    fn round_trip<T: StageOutput>(store: &DiskStore, key: u64, v: &T) {
+        assert!(store.load::<T>(key).is_none(), "cold load is a clean miss");
+        store.store(key, v);
+        let back = store.load::<T>(key).expect("stored cell loads");
+        assert_eq!(back.encode(), v.encode());
     }
 
     #[test]
     fn store_and_load_round_trip_on_disk() {
         let dir = scratch_dir("roundtrip");
         let store = DiskStore::open(dir.clone());
+        let attacks = sample_attacks();
+        let mut alerts = AlertColumns::new();
+        alerts.push(attacks.get(0), attackgen::AttackClass::DirectPathSpoofed, flowmon::Severity::High);
+        let plan = InternetPlan::build(&netmodel::NetScale::tiny(), &mut simcore::rng::SimRng::new(1));
         let v = sample_obs();
 
-        // Cold: clean miss.
-        assert!(store.load_observations(0xAB).is_none());
-
-        store.store_observations(0xAB, &v);
-        let back = store.load_observations(0xAB).expect("stored cell loads");
-        assert_eq!(back.to_wire_bytes(), v.to_wire_bytes());
+        round_trip(&store, 0xA0, &plan);
+        round_trip(&store, 0xA1, &attacks);
+        round_trip(&store, 0xA2, &alerts);
+        round_trip(&store, 0xAB, &v);
 
         // The alert kind does not alias the observation kind even
         // under an (artificial) identical key.
-        assert!(store.load_alerts(0xAB).is_none());
+        assert!(store.load::<AlertColumns>(0xAB).is_none());
 
         // Corrupt the cell body: rejected, then rewritable.
         let path = store.cell_path(Stage::Observations, 0xAB);
@@ -568,9 +520,9 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
-        assert!(store.load_observations(0xAB).is_none());
-        store.store_observations(0xAB, &v);
-        assert!(store.load_observations(0xAB).is_some());
+        assert!(store.load::<ObservationColumns>(0xAB).is_none());
+        store.store(0xAB, &v);
+        assert!(store.load::<ObservationColumns>(0xAB).is_some());
 
         let _ = fs::remove_dir_all(&dir);
     }
@@ -580,9 +532,9 @@ mod tests {
         let dir = scratch_dir("gc");
         let store = DiskStore::open(dir.clone());
         let v = sample_obs();
-        store.store_observations(1, &v);
-        store.store_observations(2, &v);
-        store.store_observations(3, &v);
+        store.store(1, &v);
+        store.store(2, &v);
+        store.store(3, &v);
         let cells = store.list();
         assert_eq!(cells.len(), 3);
         assert!(cells.iter().all(|c| c.stage == "observations" && c.bytes > 0));

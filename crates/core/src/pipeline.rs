@@ -11,7 +11,7 @@
 //! the plan at every grid point.
 
 use crate::scenario::StudyConfig;
-use crate::stagecache::{self, StageCache, StageFingerprints};
+use crate::stagecache::{StageFingerprints, Tiers};
 use analytics::{TargetTuple, WeeklySeries};
 use attackgen::{AttackColumns, AttackGenerator, AttackRef, ObservationColumns};
 use flowmon::{
@@ -336,7 +336,8 @@ impl StudyRun {
     }
 
     /// Execute the three-stage dataflow on a caller-provided pool,
-    /// against the global [`StageCache`].
+    /// against the global [`StageCache`](crate::StageCache) over the
+    /// configured disk store.
     ///
     /// Each stage is looked up by its content fingerprint
     /// ([`StageFingerprints`]) and computed only on a miss, so repeated
@@ -354,14 +355,9 @@ impl StudyRun {
     /// whatever span the caller holds and are only opened when the
     /// stage actually computes — a fully warm run emits no stage spans.
     pub fn execute_on(config: &StudyConfig, pool: &ExecPool) -> StudyRun {
-        let bound = stagecache::resolve_bound(config);
-        let cache = StageCache::global();
-        // The disk tier under the memory cache (DESIGN.md §11): probed
-        // only after a memory miss, written only after a fresh
-        // compute. Loads are integrity-checked; a rejected cell falls
-        // back to recompute, so enabling the store never changes an
-        // output byte.
-        let disk = crate::diskstore::resolve(config);
+        // Every stage resolves through the memory cache over the disk
+        // store (DESIGN.md §7, §11).
+        let tiers = Tiers::of(config);
         let fp = StageFingerprints::of(config);
         let root = SimRng::new(config.seed);
 
@@ -376,63 +372,23 @@ impl StudyRun {
             None => *pool,
         };
 
-        // Stage 1 — plan (inputs: seed + config.net). Memory tier
-        // first, then the disk store, then a fresh build (which
-        // populates both tiers).
-        let plan = cache
-            .get_plan(bound, fp.plan)
-            .or_else(|| {
-                let loaded = disk.as_ref()?.load_plan(fp.plan)?;
-                cache.adopt_plan(bound, fp.plan, Arc::clone(&loaded));
-                Some(loaded)
+        // Stage 1 — plan (inputs: seed + config.net).
+        let plan = tiers.resolve(fp.plan, || {
+            crate::faults::with_chaos(chaos.as_ref(), simcore::chaos::sites::STAGE_PLAN, fp.plan, || {
+                let _s = obs::span!("plan");
+                let mut plan_rng = root.fork_named("plan");
+                InternetPlan::build(&config.net, &mut plan_rng)
             })
-            .unwrap_or_else(|| {
-                let mut fresh = false;
-                let plan = cache.plan(bound, fp.plan, || {
-                    fresh = true;
-                    crate::faults::with_chaos(chaos.as_ref(), simcore::chaos::sites::STAGE_PLAN, fp.plan, || {
-                        let _s = obs::span!("plan");
-                        let mut plan_rng = root.fork_named("plan");
-                        Arc::new(InternetPlan::build(&config.net, &mut plan_rng))
-                    })
-                });
-                if fresh {
-                    if let Some(d) = &disk {
-                        d.store_plan(fp.plan, &plan);
-                    }
-                }
-                plan
-            });
+        });
 
         record_peak_rss("plan");
 
-        // Stage 2 — attacks (inputs: plan + config.gen + seed). Same
-        // two-tier lookup as the plan.
-        let attacks = cache
-            .get_attacks(bound, fp.attacks)
-            .or_else(|| {
-                let loaded = disk.as_ref()?.load_attacks(fp.attacks)?;
-                cache.adopt_attacks(bound, fp.attacks, Arc::clone(&loaded));
-                Some(loaded)
+        // Stage 2 — attacks (inputs: plan + config.gen + seed).
+        let attacks = tiers.resolve(fp.attacks, || {
+            crate::faults::with_chaos(chaos.as_ref(), simcore::chaos::sites::STAGE_ATTACKS, fp.attacks, || {
+                AttackGenerator::new(&plan, config.gen.clone(), &root).generate_study_on(pool)
             })
-            .unwrap_or_else(|| {
-                let mut fresh = false;
-                let attacks = cache.attacks(bound, fp.attacks, || {
-                    fresh = true;
-                    crate::faults::with_chaos(chaos.as_ref(), simcore::chaos::sites::STAGE_ATTACKS, fp.attacks, || {
-                        Arc::new(
-                            AttackGenerator::new(&plan, config.gen.clone(), &root)
-                                .generate_study_on(pool),
-                        )
-                    })
-                });
-                if fresh {
-                    if let Some(d) = &disk {
-                        d.store_attacks(fp.attacks, &attacks);
-                    }
-                }
-                attacks
-            });
+        });
 
         record_peak_rss("attacks");
 
@@ -461,28 +417,9 @@ impl StudyRun {
         // missed.
         let mut streams: Vec<Option<Arc<ObservationColumns>>> = ObsId::ALL
             .iter()
-            .map(|&id| cache.get_observations(bound, fp.observation(id)))
+            .map(|&id| tiers.lookup(fp.observation(id)))
             .collect();
-        let mut alerts = cache.get_alerts(bound, fp.netscout_alerts);
-
-        // Disk tier: fill memory misses from stored cells before
-        // deciding which observatories must re-run.
-        if let Some(d) = &disk {
-            for &id in ObsId::ALL.iter() {
-                if streams[id.index()].is_none() {
-                    if let Some(v) = d.load_observations(fp.observation(id)) {
-                        cache.adopt_observations(bound, fp.observation(id), Arc::clone(&v));
-                        streams[id.index()] = Some(v);
-                    }
-                }
-            }
-            if alerts.is_none() {
-                if let Some(v) = d.load_alerts(fp.netscout_alerts) {
-                    cache.adopt_alerts(bound, fp.netscout_alerts, Arc::clone(&v));
-                    alerts = Some(v);
-                }
-            }
-        }
+        let mut alerts: Option<Arc<AlertColumns>> = tiers.lookup(fp.netscout_alerts);
 
         // Source indices of the fan-out; sources 5–7 each produce two
         // final streams (their RA/DP splits), source 7 also the raw
@@ -645,19 +582,14 @@ impl StudyRun {
 
             let (netscout_ra, netscout_dp) = split_by_class_columns(&alerts_raw);
 
-            // Publish every freshly observed stream: into the stage
-            // cache for the next run, into `streams` for this one.
+            // Publish every freshly observed stream: into both tiers
+            // for the next run, into `streams` for this one.
             // Already-resolved slots keep their cached Arc (a source
             // can re-run because its *sibling* stream missed).
             let mut store = |id: ObsId, mut v: ObservationColumns| {
                 if streams[id.index()].is_none() {
                     v.shrink_to_fit();
-                    let arc = Arc::new(v);
-                    cache.insert_observations(bound, fp.observation(id), Arc::clone(&arc));
-                    if let Some(d) = &disk {
-                        d.store_observations(fp.observation(id), &arc);
-                    }
-                    streams[id.index()] = Some(arc);
+                    streams[id.index()] = Some(tiers.publish(fp.observation(id), v));
                 }
             };
             store(ObsId::Ucsd, ucsd_raw);
@@ -673,12 +605,7 @@ impl StudyRun {
             store(ObsId::NetscoutRa, netscout_ra);
             if alerts.is_none() {
                 alerts_raw.shrink_to_fit();
-                let arc = Arc::new(alerts_raw);
-                cache.insert_alerts(bound, fp.netscout_alerts, Arc::clone(&arc));
-                if let Some(d) = &disk {
-                    d.store_alerts(fp.netscout_alerts, &arc);
-                }
-                alerts = Some(arc);
+                alerts = Some(tiers.publish(fp.netscout_alerts, alerts_raw));
             }
         }
 

@@ -26,7 +26,13 @@
 //! Telemetry lands in the global `obs` registry as
 //! `stage.<plan|attacks|observations>.{hit,computed,evicted}` and
 //! therefore in every run manifest.
+//!
+//! Both tiers — this cache and the disk store under it
+//! ([`crate::diskstore`]) — are generic over one [`StageOutput`]
+//! trait, and the policy that stacks them lives in one place,
+//! [`Tiers`].
 
+use crate::diskstore::DiskStore;
 use crate::pipeline::ObsId;
 use crate::scenario::StudyConfig;
 use attackgen::{AttackColumns, ObservationColumns};
@@ -35,6 +41,7 @@ use netmodel::InternetPlan;
 use obs::manifest::Fnv;
 use obs::metrics::Counter;
 use serde::Value;
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -216,7 +223,8 @@ pub enum Stage {
 }
 
 impl Stage {
-    const ALL: [Stage; 3] = [Stage::Plan, Stage::Attacks, Stage::Observations];
+    /// Every stage, in [`Stage::index`] order.
+    pub const ALL: [Stage; 3] = [Stage::Plan, Stage::Attacks, Stage::Observations];
 
     pub const fn name(self) -> &'static str {
         match self {
@@ -226,13 +234,53 @@ impl Stage {
         }
     }
 
-    const fn index(self) -> usize {
-        match self {
-            Stage::Plan => 0,
-            Stage::Attacks => 1,
-            Stage::Observations => 2,
-        }
+    /// Position in [`Stage::ALL`]: the index of the stage's
+    /// per-stage counter handles in both tiers.
+    pub const fn index(self) -> usize {
+        self as usize
     }
+}
+
+/// A stage output both tiers hold: the memory tier keys it by stage
+/// for its counters, the disk tier frames its wire bytes into a cell
+/// under the stage's directory with the payload kind in the header.
+/// Observation streams and the Netscout alert stream share
+/// [`Stage::Observations`] but carry distinct kinds, so a key
+/// collision across them can never type-confuse a load.
+pub trait StageOutput: Send + Sync + Sized + 'static {
+    /// The stage whose counters and store directory the value uses.
+    const STAGE: Stage;
+    /// Payload kind tag of the disk cell (header byte 6).
+    const KIND: u8;
+    /// The type's deterministic wire encoding.
+    fn encode(&self) -> Vec<u8>;
+    /// Decode a wire payload, failing with `Err` (never a panic).
+    fn decode(bytes: &[u8]) -> Result<Self, String>;
+}
+
+/// Implements [`StageOutput`] over a type's inherent
+/// `to_wire_bytes`/`from_wire_bytes` codec.
+macro_rules! stage_output {
+    ($($ty:ty => $stage:ident, $kind:literal;)*) => {$(
+        impl StageOutput for $ty {
+            const STAGE: Stage = Stage::$stage;
+            const KIND: u8 = $kind;
+            fn encode(&self) -> Vec<u8> {
+                self.to_wire_bytes()
+            }
+            fn decode(bytes: &[u8]) -> Result<Self, String> {
+                Self::from_wire_bytes(bytes)
+            }
+        }
+    )*};
+}
+
+// The kind tags are part of the cell format: never renumber them.
+stage_output! {
+    InternetPlan => Plan, 0;
+    AttackColumns => Attacks, 1;
+    ObservationColumns => Observations, 2;
+    AlertColumns => Observations, 3;
 }
 
 /// Cache actions the flight recorder distinguishes.
@@ -244,23 +292,22 @@ enum CacheEvent {
     Evict,
 }
 
-/// Static trace-event name for a cache action — the lookup hot path
-/// must not allocate just because tracing is armed.
-const fn cache_trace_name(stage: Stage, event: CacheEvent) -> &'static str {
-    match (stage, event) {
-        (Stage::Plan, CacheEvent::Hit) => "cache.plan.hit",
-        (Stage::Plan, CacheEvent::Miss) => "cache.plan.miss",
-        (Stage::Plan, CacheEvent::Compute) => "cache.plan.compute",
-        (Stage::Plan, CacheEvent::Evict) => "cache.plan.evict",
-        (Stage::Attacks, CacheEvent::Hit) => "cache.attacks.hit",
-        (Stage::Attacks, CacheEvent::Miss) => "cache.attacks.miss",
-        (Stage::Attacks, CacheEvent::Compute) => "cache.attacks.compute",
-        (Stage::Attacks, CacheEvent::Evict) => "cache.attacks.evict",
-        (Stage::Observations, CacheEvent::Hit) => "cache.observations.hit",
-        (Stage::Observations, CacheEvent::Miss) => "cache.observations.miss",
-        (Stage::Observations, CacheEvent::Compute) => "cache.observations.compute",
-        (Stage::Observations, CacheEvent::Evict) => "cache.observations.evict",
-    }
+/// Static trace-event names, indexed by stage then [`CacheEvent`] —
+/// the lookup hot path must not allocate just because tracing is
+/// armed.
+const CACHE_TRACE_NAMES: [[&str; 4]; 3] = [
+    ["cache.plan.hit", "cache.plan.miss", "cache.plan.compute", "cache.plan.evict"],
+    ["cache.attacks.hit", "cache.attacks.miss", "cache.attacks.compute", "cache.attacks.evict"],
+    [
+        "cache.observations.hit",
+        "cache.observations.miss",
+        "cache.observations.compute",
+        "cache.observations.evict",
+    ],
+];
+
+fn cache_trace_name(stage: Stage, event: CacheEvent) -> &'static str {
+    CACHE_TRACE_NAMES[stage.index()][event as usize]
 }
 
 /// Mark a cache action on the flight recorder (no-op unless armed).
@@ -270,23 +317,25 @@ fn cache_trace(stage: Stage, event: CacheEvent, key: u64) {
     }
 }
 
-/// A cached stage output. Observation streams and the Netscout alert
-/// stream are separate variants of the same stage class.
-#[derive(Clone)]
-enum StageValue {
-    Plan(Arc<InternetPlan>),
-    Attacks(Arc<AttackColumns>),
-    Observations(Arc<ObservationColumns>),
-    Alerts(Arc<AlertColumns>),
+/// A filled cache cell: the output, type-erased, next to the stage
+/// whose counters it moves when evicted.
+struct Entry {
+    stage: Stage,
+    value: Arc<dyn Any + Send + Sync>,
 }
 
-impl StageValue {
-    fn stage(&self) -> Stage {
-        match self {
-            StageValue::Plan(_) => Stage::Plan,
-            StageValue::Attacks(_) => Stage::Attacks,
-            StageValue::Observations(_) | StageValue::Alerts(_) => Stage::Observations,
+impl Entry {
+    fn new<T: StageOutput>(value: Arc<T>) -> Entry {
+        Entry {
+            stage: T::STAGE,
+            value,
         }
+    }
+
+    /// The value, if it is a `T` (keys of distinct kinds never
+    /// collide, so `None` means "not this entry").
+    fn get<T: StageOutput>(&self) -> Option<Arc<T>> {
+        Arc::clone(&self.value).downcast().ok()
     }
 }
 
@@ -295,7 +344,7 @@ impl StageValue {
 /// while concurrent same-key callers block on the `OnceLock` instead
 /// of duplicating the work.
 struct Slot {
-    cell: Arc<OnceLock<StageValue>>,
+    cell: Arc<OnceLock<Entry>>,
     last_used: u64,
 }
 
@@ -393,9 +442,9 @@ impl StageCache {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// The slot for `key` (created empty if absent), plus whether it
-    /// was already filled at lookup time. Bumps the LRU stamp.
-    fn slot(&self, key: u64) -> (Arc<OnceLock<StageValue>>, bool) {
+    /// The cell for `key` (created empty if absent). Bumps the LRU
+    /// stamp.
+    fn slot(&self, key: u64) -> Arc<OnceLock<Entry>> {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -404,7 +453,7 @@ impl StageCache {
             last_used: 0,
         });
         slot.last_used = tick;
-        (Arc::clone(&slot.cell), slot.cell.get().is_some())
+        Arc::clone(&slot.cell)
     }
 
     /// Evict least-recently-used *filled* entries (never `protect`,
@@ -428,9 +477,9 @@ impl StageCache {
                 .map(|(k, _)| *k);
             let Some(victim) = victim else { return };
             if let Some(slot) = inner.map.remove(&victim) {
-                if let Some(v) = slot.cell.get() {
-                    self.evicted[v.stage().index()].inc();
-                    cache_trace(v.stage(), CacheEvent::Evict, victim);
+                if let Some(entry) = slot.cell.get() {
+                    self.evicted[entry.stage.index()].inc();
+                    cache_trace(entry.stage, CacheEvent::Evict, victim);
                 }
             }
         }
@@ -440,55 +489,49 @@ impl StageCache {
     /// (and caching) it on a miss. Concurrent misses on the same key
     /// coalesce onto one compute. `bound == 0` bypasses the cache
     /// entirely (the compute still counts as a stage execution).
-    fn get_or_compute(
+    pub fn get_or_compute<T: StageOutput>(
         &self,
-        stage: Stage,
         bound: usize,
         key: u64,
-        compute: impl FnOnce() -> StageValue,
-    ) -> StageValue {
+        compute: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        let stage = T::STAGE;
         if bound == 0 {
             self.computed[stage.index()].inc();
             let _t = obs::trace::Guard::new(
                 cache_trace_name(stage, CacheEvent::Compute),
                 Some(("key", key)),
             );
-            return compute();
+            return Arc::new(compute());
         }
-        let (cell, filled) = self.slot(key);
-        if filled {
-            self.hit[stage.index()].inc();
-            cache_trace(stage, CacheEvent::Hit, key);
-            return cell.get().expect("filled slot has a value").clone();
-        }
+        let cell = self.slot(key);
         let mut ran = false;
-        let value = cell
-            .get_or_init(|| {
-                ran = true;
-                self.computed[stage.index()].inc();
-                let _t = obs::trace::Guard::new(
-                    cache_trace_name(stage, CacheEvent::Compute),
-                    Some(("key", key)),
-                );
-                compute()
-            })
-            .clone();
+        let entry = cell.get_or_init(|| {
+            ran = true;
+            self.computed[stage.index()].inc();
+            let _t = obs::trace::Guard::new(
+                cache_trace_name(stage, CacheEvent::Compute),
+                Some(("key", key)),
+            );
+            Entry::new(Arc::new(compute()))
+        });
+        let value = entry.get().expect("stage key resolved to a value of another kind");
         if ran {
             cache_trace(stage, CacheEvent::Miss, key);
             self.enforce_bound(bound, key);
         } else {
-            // A concurrent computer filled the cell while we waited:
-            // served from cache as far as this caller is concerned.
+            // Filled at lookup, or a concurrent computer filled the
+            // cell while we waited: served from cache either way.
             self.hit[stage.index()].inc();
             cache_trace(stage, CacheEvent::Hit, key);
         }
         value
     }
 
-    /// Lookup-only: the cached value for `key`, if present and of the
-    /// expected kind. Used by the observation stage, which computes
-    /// many entries jointly in one fan-out.
-    fn get(&self, stage: Stage, bound: usize, key: u64) -> Option<StageValue> {
+    /// Lookup-only: the cached value for `key`, if present. The
+    /// two-tier flow probes memory before touching the disk, and the
+    /// observation stage computes many entries jointly in one fan-out.
+    pub fn get<T: StageOutput>(&self, bound: usize, key: u64) -> Option<Arc<T>> {
         if bound == 0 {
             return None;
         }
@@ -498,37 +541,27 @@ impl StageCache {
             let tick = inner.tick;
             inner.map.get_mut(&key).and_then(|slot| {
                 slot.last_used = tick;
-                slot.cell.get().cloned()
+                slot.cell.get().and_then(Entry::get)
             })
         };
-        match value {
-            Some(v) => {
-                self.hit[stage.index()].inc();
-                cache_trace(stage, CacheEvent::Hit, key);
-                Some(v)
-            }
-            None => {
-                cache_trace(stage, CacheEvent::Miss, key);
-                None
-            }
-        }
+        let event = if value.is_some() {
+            self.hit[T::STAGE.index()].inc();
+            CacheEvent::Hit
+        } else {
+            CacheEvent::Miss
+        };
+        cache_trace(T::STAGE, event, key);
+        value
     }
 
     /// Insert a freshly computed value under `key` and enforce the
     /// bound. Counts one stage execution.
-    fn insert(&self, stage: Stage, bound: usize, key: u64, value: StageValue) {
-        self.computed[stage.index()].inc();
+    pub fn insert<T: StageOutput>(&self, bound: usize, key: u64, value: Arc<T>) {
+        self.computed[T::STAGE.index()].inc();
         // The execution itself ran (and was traced) in the caller's
         // fan-out; mark the result entering the cache.
-        cache_trace(stage, CacheEvent::Compute, key);
-        if bound == 0 {
-            return;
-        }
-        let (cell, _) = self.slot(key);
-        // A racer may have filled the slot with (identical) content
-        // already; the first value wins and ours is dropped.
-        let _ = cell.set(value);
-        self.enforce_bound(bound, key);
+        cache_trace(T::STAGE, CacheEvent::Compute, key);
+        self.adopt(bound, key, value);
     }
 
     /// Insert a value that was *loaded*, not computed — a disk-store
@@ -536,103 +569,77 @@ impl StageCache {
     /// this does not advance `stage.<name>.computed` (that counter
     /// means stage executions; the disk tier counts its own
     /// `disk_hit`), and it emits no compute trace event.
-    fn adopt(&self, bound: usize, key: u64, value: StageValue) {
+    pub fn adopt<T: StageOutput>(&self, bound: usize, key: u64, value: Arc<T>) {
         if bound == 0 {
             return;
         }
-        let (cell, _) = self.slot(key);
-        let _ = cell.set(value);
+        // A racer may have filled the slot with (identical) content
+        // already; the first value wins and ours is dropped.
+        let _ = self.slot(key).set(Entry::new(value));
         self.enforce_bound(bound, key);
     }
+}
 
-    /// Cached Internet plan for `key`, if any (lookup-only — the
-    /// disk-tier flow probes memory before touching the filesystem).
-    pub fn get_plan(&self, bound: usize, key: u64) -> Option<Arc<InternetPlan>> {
-        match self.get(Stage::Plan, bound, key)? {
-            StageValue::Plan(p) => Some(p),
-            _ => None,
+/// The two-tier stage policy, owned here and nowhere else: memory
+/// first, then the disk store (loads adopted into memory), then a
+/// coalesced compute that writes through to disk only when this
+/// caller ran it. Loads are integrity-checked and a rejected cell
+/// falls back to recompute, so enabling the store never changes an
+/// output byte.
+pub(crate) struct Tiers {
+    cache: &'static StageCache,
+    bound: usize,
+    disk: Option<DiskStore>,
+}
+
+impl Tiers {
+    /// The global cache at `config`'s bound over `config`'s store.
+    pub(crate) fn of(config: &StudyConfig) -> Tiers {
+        Tiers {
+            cache: StageCache::global(),
+            bound: resolve_bound(config),
+            disk: crate::diskstore::resolve(config),
         }
     }
 
-    /// Cached attack stream for `key`, if any (lookup-only).
-    pub fn get_attacks(&self, bound: usize, key: u64) -> Option<Arc<AttackColumns>> {
-        match self.get(Stage::Attacks, bound, key)? {
-            StageValue::Attacks(a) => Some(a),
-            _ => None,
+    /// The stored value for `key` from either tier, if any.
+    pub(crate) fn lookup<T: StageOutput>(&self, key: u64) -> Option<Arc<T>> {
+        self.cache.get(self.bound, key).or_else(|| {
+            let loaded = self.disk.as_ref()?.load(key)?;
+            self.cache.adopt(self.bound, key, Arc::clone(&loaded));
+            Some(loaded)
+        })
+    }
+
+    /// Enter a freshly computed value into both tiers.
+    pub(crate) fn publish<T: StageOutput>(&self, key: u64, value: T) -> Arc<T> {
+        let value = Arc::new(value);
+        self.cache.insert(self.bound, key, Arc::clone(&value));
+        self.write_through(key, &*value);
+        value
+    }
+
+    /// The value for `key` from either tier, else computed once across
+    /// concurrent callers and written through to disk.
+    pub(crate) fn resolve<T: StageOutput>(&self, key: u64, compute: impl FnOnce() -> T) -> Arc<T> {
+        if let Some(value) = self.lookup(key) {
+            return value;
         }
-    }
-
-    /// Adopt a disk-loaded Internet plan into the memory tier.
-    pub fn adopt_plan(&self, bound: usize, key: u64, v: Arc<InternetPlan>) {
-        self.adopt(bound, key, StageValue::Plan(v));
-    }
-
-    /// Adopt a disk-loaded attack stream into the memory tier.
-    pub fn adopt_attacks(&self, bound: usize, key: u64, v: Arc<AttackColumns>) {
-        self.adopt(bound, key, StageValue::Attacks(v));
-    }
-
-    /// Adopt a disk-loaded observation stream into the memory tier.
-    pub fn adopt_observations(&self, bound: usize, key: u64, v: Arc<ObservationColumns>) {
-        self.adopt(bound, key, StageValue::Observations(v));
-    }
-
-    /// Adopt a disk-loaded Netscout alert stream into the memory tier.
-    pub fn adopt_alerts(&self, bound: usize, key: u64, v: Arc<AlertColumns>) {
-        self.adopt(bound, key, StageValue::Alerts(v));
-    }
-
-    /// The Internet plan for `key`, built on a miss.
-    pub fn plan(
-        &self,
-        bound: usize,
-        key: u64,
-        build: impl FnOnce() -> Arc<InternetPlan>,
-    ) -> Arc<InternetPlan> {
-        match self.get_or_compute(Stage::Plan, bound, key, || StageValue::Plan(build())) {
-            StageValue::Plan(p) => p,
-            _ => unreachable!("plan key resolved to a non-plan stage value"),
+        let mut fresh = false;
+        let value = self.cache.get_or_compute(self.bound, key, || {
+            fresh = true;
+            compute()
+        });
+        if fresh {
+            self.write_through(key, &*value);
         }
+        value
     }
 
-    /// The attack stream for `key`, generated on a miss.
-    pub fn attacks(
-        &self,
-        bound: usize,
-        key: u64,
-        generate: impl FnOnce() -> Arc<AttackColumns>,
-    ) -> Arc<AttackColumns> {
-        match self.get_or_compute(Stage::Attacks, bound, key, || StageValue::Attacks(generate()))
-        {
-            StageValue::Attacks(a) => a,
-            _ => unreachable!("attacks key resolved to a non-attacks stage value"),
+    fn write_through<T: StageOutput>(&self, key: u64, value: &T) {
+        if let Some(disk) = &self.disk {
+            disk.store(key, value);
         }
-    }
-
-    /// Cached observation stream for `key`, if any.
-    pub fn get_observations(&self, bound: usize, key: u64) -> Option<Arc<ObservationColumns>> {
-        match self.get(Stage::Observations, bound, key)? {
-            StageValue::Observations(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Cached Netscout alert stream for `key`, if any.
-    pub fn get_alerts(&self, bound: usize, key: u64) -> Option<Arc<AlertColumns>> {
-        match self.get(Stage::Observations, bound, key)? {
-            StageValue::Alerts(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Store a freshly observed stream.
-    pub fn insert_observations(&self, bound: usize, key: u64, v: Arc<ObservationColumns>) {
-        self.insert(Stage::Observations, bound, key, StageValue::Observations(v));
-    }
-
-    /// Store a freshly computed Netscout alert stream.
-    pub fn insert_alerts(&self, bound: usize, key: u64, v: Arc<AlertColumns>) {
-        self.insert(Stage::Observations, bound, key, StageValue::Alerts(v));
     }
 }
 
@@ -790,35 +797,37 @@ mod tests {
         let cache = StageCache::isolated();
         let make = |n: u64| -> Arc<ObservationColumns> { Arc::new(ObservationColumns::with_capacity(n as usize)) };
 
+        let get = |bound, key| cache.get::<ObservationColumns>(bound, key);
+
         // Miss then hit.
-        assert!(cache.get_observations(4, 1).is_none());
-        cache.insert_observations(4, 1, make(1));
-        let got = cache.get_observations(4, 1).expect("hit after insert");
+        assert!(get(4, 1).is_none());
+        cache.insert(4, 1, make(1));
+        let got = get(4, 1).expect("hit after insert");
         assert_eq!(got.capacity(), 1);
         assert_eq!(cache.len(), 1);
 
         // LRU eviction at a tiny bound: key 1 is oldest once 2 and 3
         // land and 2 gets re-touched.
-        cache.insert_observations(2, 2, make(2));
-        let _ = cache.get_observations(2, 2);
-        cache.insert_observations(2, 3, make(3));
+        cache.insert(2, 2, make(2));
+        let _ = get(2, 2);
+        cache.insert(2, 3, make(3));
         assert_eq!(cache.len(), 2);
-        assert!(cache.get_observations(2, 1).is_none(), "LRU entry must be evicted");
-        assert!(cache.get_observations(2, 2).is_some());
-        assert!(cache.get_observations(2, 3).is_some());
+        assert!(get(2, 1).is_none(), "LRU entry must be evicted");
+        assert!(get(2, 2).is_some());
+        assert!(get(2, 3).is_some());
         assert_eq!(cache.stats(Stage::Observations).evicted, 1);
 
         // bound == 0 bypasses entirely.
-        cache.insert_observations(0, 9, make(9));
-        assert!(cache.get_observations(0, 9).is_none());
-        assert!(cache.get_observations(4, 9).is_none());
+        cache.insert(0, 9, make(9));
+        assert!(get(0, 9).is_none());
+        assert!(get(4, 9).is_none());
 
         // get_or_compute: second call is a hit, compute runs once.
         let mut runs = 0;
         for _ in 0..3 {
-            let plan_like = cache.attacks(4, 77, || {
+            let plan_like = cache.get_or_compute(4, 77, || {
                 runs += 1;
-                Arc::new(AttackColumns::new())
+                AttackColumns::new()
             });
             assert_eq!(plan_like.len(), 0);
         }
@@ -833,24 +842,32 @@ mod tests {
     /// Adoption (disk-tier loads entering the memory tier) fills the
     /// slot without counting a stage execution — `computed` means "the
     /// stage actually ran", and a disk load is exactly the absence of
-    /// that.
+    /// that. Checked for every stage output kind.
     #[test]
     fn adopt_fills_without_counting_a_compute() {
+        fn adopt_then_get<T: StageOutput>(cache: &StageCache, key: u64, v: T) {
+            let before = cache.stats(T::STAGE);
+            cache.adopt(4, key, Arc::new(v));
+            assert!(cache.get::<T>(4, key).is_some());
+            let after = cache.stats(T::STAGE);
+            assert_eq!(after.computed, before.computed, "adopt must not count as a compute");
+            assert_eq!(after.hit, before.hit + 1, "the lookup after adopt is a hit");
+        }
         let cache = StageCache::isolated();
-        cache.adopt_attacks(4, 5, Arc::new(AttackColumns::new()));
-        assert!(cache.get_attacks(4, 5).is_some());
-        let stats = cache.stats(Stage::Attacks);
-        assert_eq!(stats.computed, 0, "adopt must not count as a compute");
-        assert_eq!(stats.hit, 1, "the lookup after adopt is a hit");
-        cache.adopt_plan(4, 6, Arc::new(InternetPlan::build(
+        let plan = InternetPlan::build(
             &netmodel::NetScale::tiny(),
             &mut simcore::rng::SimRng::new(1),
-        )));
-        assert!(cache.get_plan(4, 6).is_some());
-        assert_eq!(cache.stats(Stage::Plan).computed, 0);
+        );
+        adopt_then_get(&cache, 5, plan);
+        adopt_then_get(&cache, 6, AttackColumns::new());
+        adopt_then_get(&cache, 7, ObservationColumns::new());
+        adopt_then_get(&cache, 8, AlertColumns::new());
+        for stage in Stage::ALL {
+            assert_eq!(cache.stats(stage).computed, 0);
+        }
         // bound 0 bypasses adoption like every other cache path.
-        cache.adopt_attacks(0, 7, Arc::new(AttackColumns::new()));
-        assert!(cache.get_attacks(4, 7).is_none());
+        cache.adopt(0, 9, Arc::new(AttackColumns::new()));
+        assert!(cache.get::<AttackColumns>(4, 9).is_none());
     }
 
     /// Concurrent same-key misses coalesce onto one compute.
@@ -863,9 +880,9 @@ mod tests {
             for _ in 0..8 {
                 let (cache, runs) = (&cache, &runs);
                 scope.spawn(move || {
-                    let v = cache.attacks(16, 42, || {
+                    let v = cache.get_or_compute(16, 42, || {
                         runs.fetch_add(1, Ordering::SeqCst);
-                        Arc::new(AttackColumns::new())
+                        AttackColumns::new()
                     });
                     assert_eq!(v.len(), 0);
                 });
@@ -894,19 +911,21 @@ mod tests {
         let churned = Barrier::new(2);
         std::thread::scope(|scope| {
             let a = scope.spawn(|| {
-                cache.attacks(1, 7, || {
+                cache.get_or_compute(1, 7, || {
                     in_flight.wait();
                     churned.wait();
-                    Arc::new(AttackColumns::new())
+                    AttackColumns::new()
                 })
             });
             let c = scope.spawn(|| {
                 in_flight.wait();
-                cache.attacks(1, 7, || panic!("C must coalesce onto A's compute, not re-run it"))
+                cache.get_or_compute::<AttackColumns>(1, 7, || {
+                    panic!("C must coalesce onto A's compute, not re-run it")
+                })
             });
             in_flight.wait();
-            cache.insert_observations(1, 100, make(1));
-            cache.insert_observations(1, 101, make(2));
+            cache.insert(1, 100, make(1));
+            cache.insert(1, 101, make(2));
             churned.wait();
             let a = a.join().expect("A must not deadlock or die");
             let c = c.join().expect("C must not deadlock or die");
@@ -922,7 +941,7 @@ mod tests {
         assert_eq!(observations.computed, 2);
         assert!(observations.evicted >= 1, "bound 1 churn must evict");
         // The cache stays usable afterwards: key 7 is now filled.
-        let again = cache.attacks(4, 7, || panic!("must be served from cache"));
+        let again = cache.get_or_compute::<AttackColumns>(4, 7, || panic!("must be served from cache"));
         assert_eq!(again.len(), 0);
     }
 
@@ -939,7 +958,7 @@ mod tests {
                 let (cache, attempts) = (&cache, &attempts);
                 scope.spawn(move || {
                     let got = simcore::recover::capture("stagecache-test", || {
-                        cache.attacks(8, 55, || {
+                        cache.get_or_compute::<AttackColumns>(8, 55, || {
                             attempts.fetch_add(1, Ordering::SeqCst);
                             panic!("injected compute failure")
                         })
@@ -955,9 +974,9 @@ mod tests {
         );
         // The cell recovered: a healthy compute fills it and later
         // lookups hit.
-        let v = cache.attacks(8, 55, || Arc::new(AttackColumns::new()));
+        let v = cache.get_or_compute(8, 55, AttackColumns::new);
         assert_eq!(v.len(), 0);
-        let again = cache.attacks(8, 55, || panic!("must be a cache hit now"));
+        let again = cache.get_or_compute::<AttackColumns>(8, 55, || panic!("must be a cache hit now"));
         assert_eq!(again.len(), 0);
     }
 }

@@ -1,6 +1,6 @@
 //! Leveled stderr logging.
 //!
-//! The repo convention (enforced by `tools/lint.sh` and
+//! The repo convention (enforced by the repo lint,
 //! `tests/repo_lint.rs`) is that library crates never call `println!`
 //! or `eprintln!` directly: stdout is reserved for machine-readable
 //! experiment output, and stderr diagnostics go through this module so

@@ -63,5 +63,7 @@ fn main() {
         run.normalized_series(ObsId::Hopscotch).trend().symbol(),
         run.normalized_series(ObsId::AmpPot).trend().symbol()
     );
-    println!("\nNext: `cargo run --release --example paper_figures` regenerates every table and figure.");
+    println!(
+        "\nNext: `cargo run --release -p ddoscovery --bin ddoscovery -- run` regenerates every table and figure."
+    );
 }

@@ -10,7 +10,7 @@
 //! *deltas*, and runs under a test-unique seed and store directory.
 
 use ddoscovery::diskstore::CELL_HEADER_LEN;
-use ddoscovery::stagecache::StageCache;
+use ddoscovery::stagecache::{Stage, StageCache};
 use ddoscovery::{ObsId, StudyConfig, StudyRun};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -79,9 +79,9 @@ fn output_fingerprint(run: &StudyRun) -> Vec<u8> {
 /// across the three stages: `[hit, miss, write, reject, computed]`.
 fn snap() -> [u64; 5] {
     let total = |kind: &str| {
-        ["plan", "attacks", "observations"]
+        Stage::ALL
             .iter()
-            .map(|stage| obs::metrics::counter(&format!("stage.{stage}.{kind}")).get())
+            .map(|stage| obs::metrics::counter(&format!("stage.{}.{kind}", stage.name())).get())
             .sum()
     };
     [
@@ -100,8 +100,8 @@ fn delta(before: [u64; 5], after: [u64; 5]) -> [u64; 5] {
 /// Every cell file currently in the store, sorted for determinism.
 fn cell_files(dir: &Path) -> Vec<PathBuf> {
     let mut cells = Vec::new();
-    for stage in ["plan", "attacks", "observations"] {
-        let Ok(entries) = fs::read_dir(dir.join(stage)) else { continue };
+    for stage in Stage::ALL {
+        let Ok(entries) = fs::read_dir(dir.join(stage.name())) else { continue };
         for entry in entries.flatten() {
             if entry.file_name().to_string_lossy().starts_with('.') {
                 continue;

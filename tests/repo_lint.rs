@@ -1,5 +1,5 @@
-//! Source lint wired into the test suite (mirrors `tools/lint.sh`),
-//! eight rules:
+//! The repo lint (`make lint` runs this file alone; tier-1 runs it
+//! with the suite), eight rules:
 //!
 //! 1. No wall-clock or OS-entropy primitives anywhere in simulation
 //!    code: every stochastic draw must fork from the study seed and

@@ -21,12 +21,7 @@ fn serialize() -> MutexGuard<'static, ()> {
 }
 
 fn snap() -> [StageStats; 3] {
-    let cache = StageCache::global();
-    [
-        cache.stats(Stage::Plan),
-        cache.stats(Stage::Attacks),
-        cache.stats(Stage::Observations),
-    ]
+    Stage::ALL.map(|s| StageCache::global().stats(s))
 }
 
 /// Per-stage counter movement between two snapshots.
