@@ -43,12 +43,15 @@ regress:
 		cp BENCH_$$b.json .ddoscovery/bench/BENCH_$$b.json; \
 	done
 
-# Everything `test` gates on, plus a compile-only smoke of every bench
-# target so bench drift cannot rot outside the tier-1 path, plus the
-# benchmark of record's own tests, so a public-API change that breaks
-# `perfbench/` fails here rather than in the benchmark run, plus the
-# cross-process warm-store smoke, which pins the stage counters.
+# Everything `test` gates on, plus a warning-free rustdoc build (so a
+# doc link to a deleted or private item fails here), plus a
+# compile-only smoke of every bench target so bench drift cannot rot
+# outside the tier-1 path, plus the benchmark of record's own tests, so
+# a public-API change that breaks `perfbench/` fails here rather than in
+# the benchmark run, plus the cross-process warm-store smoke, which pins
+# the stage counters.
 check: test
+	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 	cargo bench --workspace --no-run
 	cargo test --release --offline --manifest-path perfbench/Cargo.toml
 	$(MAKE) store

@@ -4,9 +4,9 @@
 //!   weeks), 12-week EWMA, OLS trend lines and Table-1 trend classes;
 //! * [`corr`]: Spearman/Pearson with t-test p-values (Fig. 6),
 //!   quarterly correlation boxes (Fig. 14 / App. F);
-//! * [`membership`]: the sorted-merge join kernel every target
+//! * [`membership`](mod@membership): the sorted-merge join kernel every target
 //!   comparison below is built on;
-//! * [`upset`]: exclusive set intersections of (date, IP) targets
+//! * [`upset`](mod@upset): exclusive set intersections of (date, IP) targets
 //!   (Fig. 7);
 //! * [`overlap`]: overlap time series, new-vs-recurring decomposition,
 //!   industry confirmation joins (Fig. 8, 9, 10, 13);

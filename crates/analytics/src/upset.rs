@@ -76,7 +76,7 @@ impl UpsetAnalysis {
 }
 
 /// Compute the UpSet decomposition. Tuples may contain duplicates; they
-/// are deduplicated per set. One [`membership`](crate::membership) merge
+/// are deduplicated per set. One [`membership`](mod@crate::membership) merge
 /// counts every exclusive intersection.
 pub fn upset<S: AsRef<[TargetTuple]>>(sets: &[(String, S)]) -> UpsetAnalysis {
     let slices: Vec<&[TargetTuple]> = sets.iter().map(|(_, s)| s.as_ref()).collect();

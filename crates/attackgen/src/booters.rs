@@ -7,7 +7,7 @@
 //! (2022-12-13, 2023-05-04 — 48 domains in the first action, 13 in the
 //! second), and the survivors plus quickly respawned successors
 //! re-absorbing the demand (§2.1: booters "after takedown often return
-//! shortly on a new website"; Collier et al. [31]).
+//! shortly on a new website"; Collier et al. \[31\]).
 //!
 //! The model is a weekly-stepped birth/death process over booter
 //! services with Zipf-distributed popularity. Its *induced capacity
@@ -36,7 +36,7 @@ pub struct BooterMarketParams {
     /// domain.
     pub respawn_probability: f64,
     /// Fraction of a seized service's customers who migrate to
-    /// surviving booters within the takedown week (Collier et al. [31]:
+    /// surviving booters within the takedown week (Collier et al. \[31\]:
     /// the market re-absorbs demand quickly). The rest wait for the
     /// respawn.
     pub customer_migration: f64,

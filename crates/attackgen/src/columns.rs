@@ -30,7 +30,6 @@
 //! always the attack vector's amplification protocol.
 
 use crate::attack::{Attack, AttackClass, AttackId, AttackVector, ReflectorUse};
-use crate::observed::ObservedAttack;
 use netmodel::{Asn, Ipv4};
 use serde::{Deserialize, Serialize};
 use simcore::SimTime;
@@ -134,9 +133,8 @@ impl AttackRef<'_> {
 
 impl Attack {
     /// View this owned attack through the columnar record interface, so
-    /// code written against [`AttackRef`] also accepts hand-built
-    /// struct attacks (every observer keeps its `&Attack` entry point
-    /// as a one-line wrapper over this).
+    /// hand-built struct attacks (tests, packet-synthesis samples) can
+    /// be fed to any observer's [`AttackRef`] entry point.
     pub fn view(&self) -> AttackRef<'_> {
         AttackRef {
             id: self.id,
@@ -539,12 +537,16 @@ impl<'a> DoubleEndedIterator for ColumnsIter<'a> {
     }
 }
 
-/// One observatory's output stream in struct-of-arrays layout: the
-/// columnar sibling of `Vec<ObservedAttack>`, again with a shared
-/// target arena. Observation counts track the attack population
-/// (~0.8 rows/attack at default coverage), so keeping these columnar is
-/// what lets the observe stage fit inside the generation stage's
-/// high-water mark at 10 M+ attacks.
+/// One observatory's output stream — what one vantage point believes
+/// it saw — in struct-of-arrays layout. Each row holds the ground-truth
+/// attack id (for validation joins only), the first-seen time, and the
+/// attributed targets (a subset of the attack's) in a shared target
+/// arena. The comparison machinery consumes exactly two projections of
+/// a stream (§5): [`ObservationColumns::weekly_counts`] and
+/// [`ObservationColumns::distinct_target_tuples`]. Observation counts
+/// track the attack population (~0.8 rows/attack at default coverage),
+/// so keeping these columnar is what lets the observe stage fit inside
+/// the generation stage's high-water mark at 10 M+ attacks.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ObservationColumns {
     pub attack_id: Vec<u64>,
@@ -578,14 +580,6 @@ impl ObservedRef<'_> {
     /// Study week of the observation.
     pub fn week(&self) -> i64 {
         self.start.week_index()
-    }
-
-    pub fn to_observed(&self) -> ObservedAttack {
-        ObservedAttack {
-            attack_id: self.attack_id,
-            start: self.start,
-            targets: self.targets.to_vec(),
-        }
     }
 }
 
@@ -709,19 +703,6 @@ impl ObservationColumns {
         self.target_offsets
             .extend(other.target_offsets[1..].iter().map(|&o| o + base as u32));
         self.target_arena.extend_from_slice(&other.target_arena);
-    }
-
-    pub fn from_observed(observations: &[ObservedAttack]) -> ObservationColumns {
-        let mut out = ObservationColumns::with_capacity(observations.len());
-        for o in observations {
-            out.push_row(o.attack_id, o.start, &o.targets);
-        }
-        out
-    }
-
-    /// Materialize owned records (test/debug helper).
-    pub fn to_vec(&self) -> Vec<ObservedAttack> {
-        self.iter().map(|o| o.to_observed()).collect()
     }
 
     /// Sort rows by `(start, attack_id)` — the canonical observation
@@ -1062,11 +1043,8 @@ mod tests {
         let back: AttackColumns = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, cols);
 
-        let obs = ObservationColumns::from_observed(&[ObservedAttack {
-            attack_id: AttackId(7),
-            start: SimTime(-3),
-            targets: vec![Ipv4(1), Ipv4(2)],
-        }]);
+        let mut obs = ObservationColumns::new();
+        obs.push_row(AttackId(7), SimTime(-3), &[Ipv4(1), Ipv4(2)]);
         let json = serde_json::to_string(&obs).expect("serialize");
         let back: ObservationColumns = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, obs);
@@ -1089,46 +1067,92 @@ mod tests {
         assert!(AttackColumns::new().resident_bytes() >= 4);
     }
 
-    fn sample_observed() -> Vec<ObservedAttack> {
+    type Row = (AttackId, SimTime, Vec<Ipv4>);
+
+    fn sample_rows() -> Vec<Row> {
         vec![
-            ObservedAttack {
-                attack_id: AttackId(11),
-                start: SimTime(604_800 * 3 + 17),
-                targets: vec![Ipv4(9), Ipv4(8)],
-            },
-            ObservedAttack {
-                attack_id: AttackId(5),
-                start: SimTime(-50),
-                targets: vec![Ipv4(9)],
-            },
-            ObservedAttack {
-                attack_id: AttackId(u64::MAX - 4),
-                start: SimTime(604_800 * 3 + 17),
-                targets: vec![],
-            },
+            (
+                AttackId(11),
+                SimTime(604_800 * 3 + 17),
+                vec![Ipv4(9), Ipv4(8)],
+            ),
+            (AttackId(5), SimTime(-50), vec![Ipv4(9)]),
+            (AttackId(u64::MAX - 4), SimTime(604_800 * 3 + 17), vec![]),
         ]
+    }
+
+    fn columns_of(rows: &[Row]) -> ObservationColumns {
+        let mut cols = ObservationColumns::new();
+        for (id, start, targets) in rows {
+            cols.push_row(*id, *start, targets);
+        }
+        cols
+    }
+
+    fn rows_of(cols: &ObservationColumns) -> Vec<Row> {
+        cols.iter()
+            .map(|o| (o.attack_id, o.start, o.targets.to_vec()))
+            .collect()
     }
 
     #[test]
     fn observations_round_trip_and_project() {
-        let observed = sample_observed();
-        let cols = ObservationColumns::from_observed(&observed);
-        assert_eq!(cols.to_vec(), observed);
-        assert_eq!(
-            cols.weekly_counts(),
-            crate::observed::weekly_counts(&observed)
-        );
+        let rows = sample_rows();
+        let cols = columns_of(&rows);
+        assert_eq!(rows_of(&cols), rows);
+        // Two rows in week 3; the negative start falls outside the study.
+        let counts = cols.weekly_counts();
+        assert_eq!(counts.len(), simcore::STUDY_WEEKS);
+        assert_eq!(counts[3], 2.0);
+        assert_eq!(counts.iter().sum::<f64>(), 2.0);
+        // The empty-target row contributes no tuple; duplicates collapse.
+        let day = SimTime(604_800 * 3 + 17).day_index();
         assert_eq!(
             cols.distinct_target_tuples(),
-            crate::observed::distinct_target_tuples(&observed)
+            vec![
+                (SimTime(-50).day_index(), Ipv4(9)),
+                (day, Ipv4(8)),
+                (day, Ipv4(9)),
+            ]
         );
-        for (o, r) in observed.iter().zip(cols.iter()) {
-            assert_eq!(o.week(), r.week());
-            assert_eq!(
-                o.target_tuples().collect::<Vec<_>>(),
-                r.target_tuples().collect::<Vec<_>>()
-            );
+        let row = cols.get(0);
+        assert_eq!(row.week(), 3);
+        assert_eq!(
+            row.target_tuples().collect::<Vec<_>>(),
+            vec![(day, Ipv4(9)), (day, Ipv4(8))]
+        );
+    }
+
+    #[test]
+    fn weekly_counts_bucket_and_drop_out_of_study() {
+        let mut cols = ObservationColumns::new();
+        for day in [0, 6, 7, 14, -5] {
+            cols.push_row(AttackId(day as u64), SimTime::from_days(day), &[Ipv4(1)]);
         }
+        let counts = cols.weekly_counts();
+        assert_eq!(&counts[..4], &[2.0, 1.0, 1.0, 0.0]);
+        assert_eq!(
+            counts.iter().sum::<f64>(),
+            4.0,
+            "day -5 is before the study"
+        );
+    }
+
+    #[test]
+    fn distinct_tuples_dedupe_within_and_across_rows() {
+        let cols = columns_of(&[
+            (
+                AttackId(1),
+                SimTime::from_days(1),
+                vec![Ipv4(9), Ipv4(9), Ipv4(8)],
+            ),
+            (AttackId(2), SimTime::from_days(1), vec![Ipv4(9)]),
+            (AttackId(3), SimTime::from_days(2), vec![Ipv4(9)]),
+        ]);
+        assert_eq!(
+            cols.distinct_target_tuples(),
+            vec![(1, Ipv4(8)), (1, Ipv4(9)), (2, Ipv4(9))]
+        );
     }
 
     #[test]
@@ -1153,15 +1177,14 @@ mod tests {
 
     #[test]
     fn observation_append_and_sort() {
-        let observed = sample_observed();
-        let mut a = ObservationColumns::from_observed(&observed[..1]);
-        let b = ObservationColumns::from_observed(&observed[1..]);
-        a.append(b);
-        assert_eq!(a.to_vec(), observed);
-        let mut sorted = observed.clone();
-        sorted.sort_by_key(|o| (o.start, o.attack_id));
+        let rows = sample_rows();
+        let mut a = columns_of(&rows[..1]);
+        a.append(columns_of(&rows[1..]));
+        assert_eq!(rows_of(&a), rows);
+        let mut sorted = rows.clone();
+        sorted.sort_by_key(|&(id, start, _)| (start, id));
         a.sort_by_start_id();
-        assert_eq!(a.to_vec(), sorted);
+        assert_eq!(rows_of(&a), sorted);
     }
 
     #[test]

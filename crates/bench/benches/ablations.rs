@@ -3,15 +3,17 @@
 //! * event-level vs packet-level observation cost — the reason the
 //!   macro study uses the analytic path;
 //! * attack generation with and without campaign layering;
-//! * carpet-bombing reconstruction cost on honeypot streams;
-//! * observatory fan-out: serial vs the shared execution pool.
+//! * carpet-bombing reconstruction cost on honeypot streams.
+//!
+//! Serial vs pooled observatory fan-out is measured on the production
+//! pipeline by the `pipeline` bench (`BENCH_pipeline.json`).
 
 use attackgen::packets::backscatter_packets;
-use attackgen::{AttackClass, AttackGenerator, GenConfig};
+use attackgen::{AttackClass, AttackGenerator, AttackRef, GenConfig, ObservationColumns};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use honeypot::{reconstruct_carpet_attacks, Honeypot};
+use honeypot::{reconstruct_carpet_columns, Honeypot};
 use netmodel::{InternetPlan, NetScale};
-use simcore::{ExecPool, SimRng};
+use simcore::SimRng;
 use std::hint::black_box;
 use telescope::{RsdosConfig, RsdosDetector, Telescope};
 
@@ -42,22 +44,24 @@ fn bench_fidelity_ablation(c: &mut Criterion) {
     for week in 0..26 {
         gen.generate_week(week, &mut cols);
     }
-    let rsdos: Vec<attackgen::Attack> = cols
+    let rows: Vec<AttackRef<'_>> = cols
         .iter()
         .filter(|a| a.class == AttackClass::DirectPathSpoofed)
         .take(200)
-        .map(|a| a.to_attack())
         .collect();
+    // Packet synthesis takes owned attacks.
+    let rsdos: Vec<attackgen::Attack> = rows.iter().map(|a| a.to_attack()).collect();
     let tele = Telescope::ucsd(&plan);
     let mut group = c.benchmark_group("fidelity_ablation");
-    group.throughput(Throughput::Elements(rsdos.len() as u64));
+    group.throughput(Throughput::Elements(rows.len() as u64));
+    let mut sink = ObservationColumns::new();
     group.bench_function("event_level_200_attacks", |b| {
         b.iter(|| {
-            let mut seen = 0usize;
-            for a in &rsdos {
-                seen += tele.observe(black_box(a), &root).is_some() as usize;
+            sink.clear();
+            for &a in &rows {
+                tele.observe_into(black_box(a), &root, &mut sink);
             }
-            black_box(seen)
+            black_box(sink.len())
         })
     });
     group.sample_size(10);
@@ -99,48 +103,18 @@ fn bench_carpet_reconstruction(c: &mut Criterion) {
     let plan = plan();
     let root = SimRng::new(14);
     let gen = AttackGenerator::new(&plan, small_gen_cfg(true), &root);
-    let attacks = gen.generate_study().to_vec();
+    let attacks = gen.generate_study();
     let hp = Honeypot::hopscotch(&plan);
-    let raw = hp.observe_all(&attacks, &root);
+    let mut raw = ObservationColumns::new();
+    for a in &attacks {
+        hp.observe_into(a, &root, &mut raw);
+    }
     let mut group = c.benchmark_group("carpet_reconstruction");
     group.throughput(Throughput::Elements(raw.len() as u64));
     group.bench_function("appendix_i_merge", |b| {
         b.iter(|| {
-            let merged = reconstruct_carpet_attacks(&plan, black_box(&raw), 3600);
+            let merged = reconstruct_carpet_columns(&plan, black_box(&raw), 3600);
             black_box(merged.len())
-        })
-    });
-    group.finish();
-}
-
-fn bench_fanout_ablation(c: &mut Criterion) {
-    let plan = plan();
-    let root = SimRng::new(15);
-    let gen = AttackGenerator::new(&plan, small_gen_cfg(false), &root);
-    let attacks = gen.generate_study().to_vec();
-    let ucsd = Telescope::ucsd(&plan);
-    let orion = Telescope::orion(&plan);
-    let hops = Honeypot::hopscotch(&plan);
-    let amppot = Honeypot::amppot(&plan);
-    let mut group = c.benchmark_group("fanout_ablation");
-    group.sample_size(10);
-    group.bench_function("serial_four_observatories", |b| {
-        b.iter(|| {
-            let a = ucsd.observe_all(&attacks, &root).len();
-            let b2 = orion.observe_all(&attacks, &root).len();
-            let c2 = hops.observe_all(&attacks, &root).len();
-            let d = amppot.observe_all(&attacks, &root).len();
-            black_box(a + b2 + c2 + d)
-        })
-    });
-    let pool = ExecPool::global();
-    group.bench_function("pooled_four_observatories", |b| {
-        b.iter(|| {
-            let a = ucsd.observe_all_on(&attacks, &root, &pool).len();
-            let b2 = orion.observe_all_on(&attacks, &root, &pool).len();
-            let c2 = hops.observe_all_on(&attacks, &root, &pool).len();
-            let d = amppot.observe_all_on(&attacks, &root, &pool).len();
-            black_box(a + b2 + c2 + d)
         })
     });
     group.finish();
@@ -150,7 +124,6 @@ criterion_group!(
     benches,
     bench_fidelity_ablation,
     bench_campaign_ablation,
-    bench_carpet_reconstruction,
-    bench_fanout_ablation
+    bench_carpet_reconstruction
 );
 criterion_main!(benches);

@@ -60,7 +60,7 @@ pub const CELL_VERSION: u16 = 1;
 
 /// Fixed header: magic (4) + version u16 + payload kind u8 +
 /// payload length u64 + word-folded FNV-1a payload checksum u64 (see
-/// [`cell_checksum`]), all little-endian.
+/// `cell_checksum`), all little-endian.
 pub const CELL_HEADER_LEN: usize = 4 + 2 + 1 + 8 + 8;
 
 /// Payload checksum: FNV-1a folded over little-endian u64 words —

@@ -18,7 +18,6 @@ use flowmon::{MitigationModel, MitigationParams};
 use netmodel::AmpVector;
 use reports::{period_sensitivity, synthesize, table1_industry_counts, TrendClaim};
 use simcore::SimRng;
-use std::collections::HashSet;
 use telescope::Telescope;
 
 /// Lead/lag matrix over the ten main series.
@@ -326,20 +325,16 @@ pub fn interference(run: &StudyRun) -> ExperimentResult {
 /// protect single addresses).
 pub fn rtbh(run: &StudyRun) -> ExperimentResult {
     use flowmon::{blackhole_events, rtbh_stats, RtbhParams};
-    // The blackholed population: attacks the IXP actually observed.
-    let observed_ids: HashSet<u64> = run
-        .observations(ObsId::IxpDp)
-        .iter()
-        .chain(run.observations(ObsId::IxpRa).iter())
-        .map(|o| o.attack_id.0)
-        .collect();
-    let blackholed_rows: Vec<attackgen::Attack> = run
+    // The blackholed population: attacks the IXP actually observed, as
+    // borrowed rows in attack order.
+    let mut observed_ids: Vec<u64> = run.observations(ObsId::IxpDp).attack_id.clone();
+    observed_ids.extend_from_slice(&run.observations(ObsId::IxpRa).attack_id);
+    observed_ids.sort_unstable();
+    let blackholed: Vec<AttackRef<'_>> = run
         .attacks
         .iter()
-        .filter(|a| observed_ids.contains(&a.id.0))
-        .map(|a| a.to_attack())
+        .filter(|a| observed_ids.binary_search(&a.id.0).is_ok())
         .collect();
-    let blackholed: Vec<&attackgen::Attack> = blackholed_rows.iter().collect();
     let root = SimRng::new(run.config.seed).fork_named("observatories");
     let events = blackhole_events(&blackholed, &RtbhParams::default(), &root);
     let accepted = events
@@ -349,8 +344,8 @@ pub fn rtbh(run: &StudyRun) -> ExperimentResult {
     let mut body;
     let csv;
     // Every event's attack id is in the blackholed subset, so the
-    // stats join needs only those rows (missing ids are skipped).
-    match rtbh_stats(&events, &blackholed_rows) {
+    // stats join needs only those rows.
+    match rtbh_stats(&events, &blackholed) {
         Some(s) => {
             body = format!(
                 "Blackhole events derived from the {} IXP-observed attacks: {}\n\

@@ -460,8 +460,8 @@ impl StudyRun {
             // Flatten (needed source × attack-shard) onto the pool.
             // Tasks are ordered source-major / shard-minor and the pool
             // returns results in task order, so per-source
-            // concatenation below reproduces each serial `observe_all`
-            // exactly.
+            // concatenation below reproduces a serial pass over the
+            // whole population exactly.
             let chunk = simcore::pool::shard_size(attacks.len(), pool.workers());
             let n_shards = attacks.len().div_ceil(chunk).max(1);
             let tasks: Vec<ObsTask> = (0..N_OBSERVATORIES)
@@ -477,7 +477,7 @@ impl StudyRun {
             // into. Tasks are source-major / shard-minor and the fold
             // consumes results in task order, so each source's stream
             // is the concatenation of its shards in attack order —
-            // exactly a serial `observe_all` — while every shard's
+            // exactly a serial pass — while every shard's
             // buffers free as soon as they are spliced in.
             let mut plain_streams: Vec<ObservationColumns> =
                 (0..5).map(|_| ObservationColumns::new()).collect();

@@ -30,7 +30,7 @@
 //! Both tiers — this cache and the disk store under it
 //! ([`crate::diskstore`]) — are generic over one [`StageOutput`]
 //! trait, and the policy that stacks them lives in one place,
-//! [`Tiers`].
+//! `Tiers`.
 
 use crate::diskstore::DiskStore;
 use crate::pipeline::ObsId;
@@ -145,7 +145,7 @@ pub struct StageFingerprints {
     /// Key of the ground-truth attack stream: plan key + `gen`.
     pub attacks: u64,
     /// Keys of the eleven final observation streams, indexed by
-    /// [`ObsId::index`]: attacks key + `obs` + the observatory slug.
+    /// `ObsId::index`: attacks key + `obs` + the observatory slug.
     pub observations: [u64; 11],
     /// Key of the raw Netscout alert stream (the §7.2 baseline input).
     pub netscout_alerts: u64,

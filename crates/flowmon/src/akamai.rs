@@ -7,7 +7,7 @@
 //! joins with Akamai are ≈ 100× smaller than with Netscout (§7.2), and
 //! why Akamai's trends diverge from every other observatory (§6.3).
 
-use attackgen::{Attack, AttackClass, AttackRef, ObservationColumns, ObservedAttack};
+use attackgen::{AttackClass, AttackRef, ObservationColumns};
 use netmodel::{InternetPlan, PrefixTable};
 use serde::{Deserialize, Serialize};
 use simcore::SimRng;
@@ -60,8 +60,9 @@ impl Akamai {
 
     /// Event-level observation into a columnar sink. On detection the
     /// observation row (targets clipped to protected space) is appended
-    /// to `out` and the attack's class is returned so the caller can
-    /// route the row into the RA or DP series.
+    /// to `out` and the attack's class is returned, so the caller can
+    /// route the row into the RA or DP series (Akamai publishes them
+    /// separately, Fig. 2(d)/3(d)).
     pub fn observe_into(
         &self,
         attack: AttackRef<'_>,
@@ -99,68 +100,30 @@ impl Akamai {
         out.commit_row();
         Some(attack.class)
     }
-
-    /// Event-level observation with the attack's class attached (Akamai
-    /// publishes separate RA and DP series, Fig. 2(d)/3(d)).
-    pub fn observe(&self, attack: &Attack, root: &SimRng) -> Option<(AttackClass, ObservedAttack)> {
-        let mut out = ObservationColumns::new();
-        let class = self.observe_into(attack.view(), root, &mut out)?;
-        Some((class, out.get(0).to_observed()))
-    }
-
-    /// Observe a stream, split into (RA, DP) series.
-    pub fn observe_all(
-        &self,
-        attacks: &[Attack],
-        root: &SimRng,
-    ) -> (Vec<ObservedAttack>, Vec<ObservedAttack>) {
-        split_by_class(
-            attacks
-                .iter()
-                .filter_map(|a| self.observe(a, root))
-                .collect(),
-        )
-    }
-
-    /// Observe a stream sharded across `pool`, split into (RA, DP)
-    /// series. Identical output to [`Akamai::observe_all`]: per-attack
-    /// draws fork from (attack id, "akamai-prolexic") and shards merge
-    /// in input order before the class split.
-    pub fn observe_all_on(
-        &self,
-        attacks: &[Attack],
-        root: &SimRng,
-        pool: &simcore::ExecPool,
-    ) -> (Vec<ObservedAttack>, Vec<ObservedAttack>) {
-        split_by_class(pool.par_filter_map(attacks, |a| self.observe(a, root)))
-    }
-}
-
-fn split_by_class(
-    tagged: Vec<(AttackClass, ObservedAttack)>,
-) -> (Vec<ObservedAttack>, Vec<ObservedAttack>) {
-    let mut ra = Vec::new();
-    let mut dp = Vec::new();
-    for (class, o) in tagged {
-        if class.is_reflection() {
-            ra.push(o);
-        } else {
-            dp.push(o);
-        }
-    }
-    (ra, dp)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attackgen::attack::{AttackId, AttackVector};
+    use attackgen::attack::{Attack, AttackId, AttackVector};
     use netmodel::{Asn, Ipv4, NetScale};
     use simcore::SimTime;
 
     fn plan() -> InternetPlan {
         let mut rng = SimRng::new(100);
         InternetPlan::build(&NetScale::tiny(), &mut rng)
+    }
+
+    /// One attack through [`Akamai::observe_into`]: the detected class
+    /// and the one-row stream, or `None` when Prolexic saw nothing.
+    fn observe_one(
+        ak: &Akamai,
+        a: &Attack,
+        root: &SimRng,
+    ) -> Option<(AttackClass, ObservationColumns)> {
+        let mut out = ObservationColumns::new();
+        let class = ak.observe_into(a.view(), root, &mut out)?;
+        Some((class, out))
     }
 
     fn attack_on(ip: Ipv4, id: u64, class: AttackClass) -> Attack {
@@ -187,7 +150,10 @@ mod tests {
         let root = SimRng::new(1);
         let ip = plan.akamai_prefix_list[0].nth(3);
         let seen = (0..200)
-            .filter(|&id| ak.observe(&attack_on(ip, id, AttackClass::DirectPathNonSpoofed), &root).is_some())
+            .filter(|&id| {
+                let a = attack_on(ip, id, AttackClass::DirectPathNonSpoofed);
+                observe_one(&ak, &a, &root).is_some()
+            })
             .count();
         assert!(seen > 170, "seen {seen}");
     }
@@ -206,9 +172,8 @@ mod tests {
             .find(|&ip| !ak.protects(ip))
             .unwrap();
         for id in 0..100 {
-            assert!(ak
-                .observe(&attack_on(outside, id, AttackClass::DirectPathNonSpoofed), &root)
-                .is_none());
+            let a = attack_on(outside, id, AttackClass::DirectPathNonSpoofed);
+            assert!(observe_one(&ak, &a, &root).is_none());
         }
     }
 
@@ -221,7 +186,7 @@ mod tests {
         for id in 0..100 {
             let mut a = attack_on(ip, id, AttackClass::DirectPathNonSpoofed);
             a.bps = 1e6;
-            assert!(ak.observe(&a, &root).is_none());
+            assert!(observe_one(&ak, &a, &root).is_none());
         }
     }
 
@@ -242,9 +207,9 @@ mod tests {
         for id in 0..50 {
             let mut a = attack_on(protected, id, AttackClass::ReflectionAmplification);
             a.targets = vec![protected, outside];
-            if let Some((class, o)) = ak.observe(&a, &root) {
+            if let Some((class, o)) = observe_one(&ak, &a, &root) {
                 assert!(class.is_reflection());
-                assert_eq!(o.targets, vec![protected]);
+                assert_eq!(o.targets(0), &[protected]);
                 found = true;
             }
         }
@@ -270,9 +235,20 @@ mod tests {
                 )
             })
             .collect();
-        let (ra, dp) = ak.observe_all(&attacks, &root);
+        let mut ra = ObservationColumns::new();
+        let mut dp = ObservationColumns::new();
+        for a in &attacks {
+            let out = if a.class.is_reflection() {
+                &mut ra
+            } else {
+                &mut dp
+            };
+            if let Some(class) = ak.observe_into(a.view(), &root, out) {
+                assert_eq!(class, a.class);
+            }
+        }
         assert!(!ra.is_empty() && !dp.is_empty());
-        assert!(ra.iter().all(|o| o.attack_id.0 % 2 == 0));
-        assert!(dp.iter().all(|o| o.attack_id.0 % 2 == 1));
+        assert!(ra.attack_id.iter().all(|id| id % 2 == 0));
+        assert!(dp.attack_id.iter().all(|id| id % 2 == 1));
     }
 }

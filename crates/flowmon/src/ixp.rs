@@ -1,4 +1,4 @@
-//! The IXP-blackholing observatory (Kopp et al., PAM 2021 — ref [82] of
+//! The IXP-blackholing observatory (Kopp et al., PAM 2021 — ref \[82\] of
 //! the paper).
 //!
 //! Vantage point: a large European IXP. Customers under attack announce
@@ -14,7 +14,7 @@
 //! our model keeps both filters: the attack must traverse the IXP *and*
 //! the customer must request blackholing.
 
-use attackgen::{Attack, AttackClass, AttackRef, ObservedAttack, PacketEvent};
+use attackgen::{AttackClass, AttackRef, PacketEvent};
 use netmodel::{AmpVector, Asn, InternetPlan, Transport};
 use serde::{Deserialize, Serialize};
 use simcore::SimRng;
@@ -86,7 +86,9 @@ impl IxpBlackholing {
 
     /// Event-level detection verdict for one attack row. The IXP's
     /// observation tuple is just the attack's (id, start, targets), so
-    /// columnar callers append it to their own sink without cloning.
+    /// columnar callers append it to their own sink without cloning;
+    /// the detection class routes it into the IXP's two separate series
+    /// (Fig. 2(e) and Fig. 3(e)).
     pub fn observe_view(&self, attack: AttackRef<'_>, root: &SimRng) -> Option<IxpDetection> {
         // Outage check first, before any RNG fork, so unaffected weeks
         // keep their exact detection streams.
@@ -140,62 +142,6 @@ impl IxpBlackholing {
         }
         Some(detection)
     }
-
-    /// Event-level observation. Returns the detection class alongside
-    /// the observation so the core pipeline can maintain the IXP's two
-    /// separate series (Fig. 2(e) and Fig. 3(e)).
-    pub fn observe(&self, attack: &Attack, root: &SimRng) -> Option<(IxpDetection, ObservedAttack)> {
-        let detection = self.observe_view(attack.view(), root)?;
-        Some((
-            detection,
-            ObservedAttack {
-                attack_id: attack.id,
-                start: attack.start,
-                targets: attack.targets.clone(),
-            },
-        ))
-    }
-
-    /// Observe a stream, returning the two series separately.
-    pub fn observe_all(
-        &self,
-        attacks: &[Attack],
-        root: &SimRng,
-    ) -> (Vec<ObservedAttack>, Vec<ObservedAttack>) {
-        split_detections(
-            attacks
-                .iter()
-                .filter_map(|a| self.observe(a, root))
-                .collect(),
-        )
-    }
-
-    /// Observe a stream sharded across `pool`, returning the two series
-    /// separately. Identical output to [`IxpBlackholing::observe_all`]:
-    /// per-attack draws fork from (attack id, "ixp-blackholing") and
-    /// shards merge in input order before the class split.
-    pub fn observe_all_on(
-        &self,
-        attacks: &[Attack],
-        root: &SimRng,
-        pool: &simcore::ExecPool,
-    ) -> (Vec<ObservedAttack>, Vec<ObservedAttack>) {
-        split_detections(pool.par_filter_map(attacks, |a| self.observe(a, root)))
-    }
-}
-
-fn split_detections(
-    tagged: Vec<(IxpDetection, ObservedAttack)>,
-) -> (Vec<ObservedAttack>, Vec<ObservedAttack>) {
-    let mut ra = Vec::new();
-    let mut dp = Vec::new();
-    for (det, o) in tagged {
-        match det {
-            IxpDetection::ReflectionAmplification => ra.push(o),
-            IxpDetection::DirectPath => dp.push(o),
-        }
-    }
-    (ra, dp)
 }
 
 /// Packet-level classification of one blackholed traffic aggregate
@@ -243,7 +189,7 @@ pub fn classify_blackholed_traffic(packets: &[PacketEvent], cfg: &IxpConfig) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attackgen::attack::{AttackId, AttackVector, ReflectorUse};
+    use attackgen::attack::{Attack, AttackId, AttackVector, ReflectorUse};
     use netmodel::{Ipv4, NetScale};
     use simcore::SimTime;
 
@@ -291,8 +237,8 @@ mod tests {
         let root = SimRng::new(1);
         let seen = (0..200)
             .filter(|&id| {
-                ixp.observe(&attack(&plan, id, AttackClass::DirectPathSpoofed, 5e8), &root)
-                    .is_some()
+                let a = attack(&plan, id, AttackClass::DirectPathSpoofed, 5e8);
+                ixp.observe_view(a.view(), &root).is_some()
             })
             .count();
         // path(0.9) × blackhole(0.5) ≈ 45 %.
@@ -313,7 +259,7 @@ mod tests {
         for id in 0..100 {
             let mut a = attack(&plan, id, AttackClass::DirectPathSpoofed, 5e8);
             a.target_asn = non_member;
-            assert!(ixp.observe(&a, &root).is_none());
+            assert!(ixp.observe_view(a.view(), &root).is_none());
         }
     }
 
@@ -324,7 +270,7 @@ mod tests {
         let root = SimRng::new(1);
         for id in 0..100 {
             let a = attack(&plan, id, AttackClass::DirectPathSpoofed, 5e7); // 50 Mbps
-            assert!(ixp.observe(&a, &root).is_none());
+            assert!(ixp.observe_view(a.view(), &root).is_none());
         }
     }
 
@@ -337,9 +283,9 @@ mod tests {
         let mut above = 0;
         for id in 0..200 {
             let weak = attack(&plan, id, AttackClass::ReflectionAmplification, 5e8);
-            below += ixp.observe(&weak, &root).is_some() as u32;
+            below += ixp.observe_view(weak.view(), &root).is_some() as u32;
             let strong = attack(&plan, 1000 + id, AttackClass::ReflectionAmplification, 5e9);
-            above += ixp.observe(&strong, &root).is_some() as u32;
+            above += ixp.observe_view(strong.view(), &root).is_some() as u32;
         }
         assert_eq!(below, 0);
         assert!(above > 40, "above {above}");
@@ -356,7 +302,7 @@ mod tests {
                 vector: AmpVector::Dns,
                 reflector_count: 5, // under the 10-source floor
             });
-            assert!(ixp.observe(&a, &root).is_none());
+            assert!(ixp.observe_view(a.view(), &root).is_none());
         }
     }
 
@@ -370,7 +316,7 @@ mod tests {
         for id in 0..100 {
             let mut a = attack(&plan, id, AttackClass::DirectPathSpoofed, 5e9);
             a.vector = AttackVector::UdpFlood;
-            assert!(ixp.observe(&a, &root).is_none());
+            assert!(ixp.observe_view(a.view(), &root).is_none());
         }
     }
 
@@ -388,14 +334,21 @@ mod tests {
                 }
             })
             .collect();
-        let (ra, dp) = ixp.observe_all(&attacks, &root);
-        assert!(!ra.is_empty() && !dp.is_empty());
-        for o in &ra {
-            assert_eq!(o.attack_id.0 % 2, 0);
+        let (mut ra, mut dp) = (0, 0);
+        for a in &attacks {
+            match ixp.observe_view(a.view(), &root) {
+                Some(IxpDetection::ReflectionAmplification) => {
+                    assert_eq!(a.id.0 % 2, 0);
+                    ra += 1;
+                }
+                Some(IxpDetection::DirectPath) => {
+                    assert_eq!(a.id.0 % 2, 1);
+                    dp += 1;
+                }
+                None => {}
+            }
         }
-        for o in &dp {
-            assert_eq!(o.attack_id.0 % 2, 1);
-        }
+        assert!(ra > 0 && dp > 0);
     }
 
     #[test]

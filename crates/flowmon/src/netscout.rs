@@ -7,7 +7,7 @@
 //! comparison baseline was ≈ 28 % of all Netscout alerts, and alerts
 //! below the product-defined "medium" severity are excluded.
 
-use attackgen::{Attack, AttackClass, AttackRef, ObservationColumns, ObservedAttack, ObservedRef};
+use attackgen::{AttackClass, AttackRef, ObservationColumns, ObservedRef};
 use netmodel::{Asn, InternetPlan};
 use serde::{Deserialize, Serialize};
 use simcore::SimRng;
@@ -20,14 +20,6 @@ pub enum Severity {
     Low,
     Medium,
     High,
-}
-
-/// One Netscout alert: an observation plus its classification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NetscoutAlert {
-    pub observation: ObservedAttack,
-    pub class: AttackClass,
-    pub severity: Severity,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -98,10 +90,11 @@ impl Netscout {
         }
     }
 
-    /// Event-level alert verdict for one attack row. Returns the alert's
-    /// classification when one fires; the observation itself is just the
+    /// Event-level alert verdict for one attack row: an alert fires at
+    /// `Medium`+ severity for an attack on a customer network, and its
+    /// classification is returned. The observation itself is just the
     /// attack's (id, start, targets), which columnar callers append to
-    /// their own sink.
+    /// their own sink (see [`AlertColumns::push`]).
     pub fn observe_view(&self, attack: AttackRef<'_>, root: &SimRng) -> Option<(AttackClass, Severity)> {
         // Outage check first, before any RNG fork, so unaffected weeks
         // keep their exact alert streams.
@@ -129,59 +122,12 @@ impl Netscout {
         Some((attack.class, severity))
     }
 
-    /// Event-level observation: an alert at `Medium`+ severity for an
-    /// attack on a customer network.
-    pub fn observe(&self, attack: &Attack, root: &SimRng) -> Option<NetscoutAlert> {
-        let (class, severity) = self.observe_view(attack.view(), root)?;
-        Some(NetscoutAlert {
-            observation: ObservedAttack {
-                attack_id: attack.id,
-                start: attack.start,
-                targets: attack.targets.clone(),
-            },
-            class,
-            severity,
-        })
-    }
-
-    /// Observe a stream; returns all alerts.
-    pub fn observe_all(&self, attacks: &[Attack], root: &SimRng) -> Vec<NetscoutAlert> {
-        attacks
-            .iter()
-            .filter_map(|a| self.observe(a, root))
-            .collect()
-    }
-
-    /// Observe a stream sharded across `pool`. Identical output to
-    /// [`Netscout::observe_all`]: per-attack draws fork from (attack id,
-    /// "netscout-atlas") and shards merge in input order.
-    pub fn observe_all_on(
-        &self,
-        attacks: &[Attack],
-        root: &SimRng,
-        pool: &simcore::ExecPool,
-    ) -> Vec<NetscoutAlert> {
-        pool.par_filter_map(attacks, |a| self.observe(a, root))
-    }
-
     /// Per-alert draw deciding whether an alert lands in the shared
-    /// research baseline. Deterministic in (root, attack id).
+    /// research baseline (≈ `baseline_fraction` of all alerts).
+    /// Deterministic in (root, attack id).
     pub fn baseline_keep(&self, attack_id: u64, root: &SimRng) -> bool {
         let mut rng = root.fork(attack_id).fork_named("netscout-baseline");
         rng.chance(self.cfg.baseline_fraction)
-    }
-
-    /// Draw the shared research baseline: ≈ `baseline_fraction` of all
-    /// alerts, sampled deterministically per alert.
-    pub fn baseline_sample<'a>(
-        &self,
-        alerts: &'a [NetscoutAlert],
-        root: &SimRng,
-    ) -> Vec<&'a NetscoutAlert> {
-        alerts
-            .iter()
-            .filter(|al| self.baseline_keep(al.observation.attack_id.0, root))
-            .collect()
     }
 }
 
@@ -237,32 +183,6 @@ impl AlertColumns {
         self.obs.append(shard.obs);
         self.class.extend_from_slice(&shard.class);
         self.severity.extend_from_slice(&shard.severity);
-    }
-
-    /// Materialise struct-of-pointers alerts (tests, AoS interop).
-    pub fn to_vec(&self) -> Vec<NetscoutAlert> {
-        (0..self.len())
-            .map(|i| NetscoutAlert {
-                observation: self.obs.get(i).to_observed(),
-                class: self.class[i],
-                severity: self.severity[i],
-            })
-            .collect()
-    }
-
-    /// Build columns from struct alerts (tests, AoS interop).
-    pub fn from_alerts(alerts: &[NetscoutAlert]) -> Self {
-        let mut out = Self::with_capacity(alerts.len());
-        for al in alerts {
-            out.obs.begin_row(al.observation.attack_id, al.observation.start);
-            for &t in &al.observation.targets {
-                out.obs.push_target(t);
-            }
-            out.obs.commit_row();
-            out.class.push(al.class);
-            out.severity.push(al.severity);
-        }
-        out
     }
 
     /// Drop accumulated growth slack in every lane.
@@ -334,20 +254,8 @@ impl AlertColumns {
     }
 }
 
-/// Split alerts into the two published series (RA and DP observations).
-pub fn split_by_class(alerts: &[NetscoutAlert]) -> (Vec<ObservedAttack>, Vec<ObservedAttack>) {
-    let mut ra = Vec::new();
-    let mut dp = Vec::new();
-    for al in alerts {
-        match al.class {
-            AttackClass::ReflectionAmplification => ra.push(al.observation.clone()),
-            _ => dp.push(al.observation.clone()),
-        }
-    }
-    (ra, dp)
-}
-
-/// Columnar [`split_by_class`]: same row order, column storage.
+/// Split alerts into the two published series (RA and DP
+/// observations), keeping alert order.
 pub fn split_by_class_columns(alerts: &AlertColumns) -> (ObservationColumns, ObservationColumns) {
     let mut ra = ObservationColumns::new();
     let mut dp = ObservationColumns::new();
@@ -362,7 +270,8 @@ pub fn split_by_class_columns(alerts: &AlertColumns) -> (ObservationColumns, Obs
     (ra, dp)
 }
 
-/// Columnar [`split_dp_spoofing`]: same row order, column storage.
+/// Split DP alerts into spoofed / non-spoofed series (the extra split
+/// Netscout provided, §5), keeping alert order; RA alerts are dropped.
 pub fn split_dp_spoofing_columns(alerts: &AlertColumns) -> (ObservationColumns, ObservationColumns) {
     let mut spoofed = ObservationColumns::new();
     let mut nonspoofed = ObservationColumns::new();
@@ -379,25 +288,10 @@ pub fn split_dp_spoofing_columns(alerts: &AlertColumns) -> (ObservationColumns, 
     (spoofed, nonspoofed)
 }
 
-/// Split DP alerts into spoofed / non-spoofed counts (the extra split
-/// Netscout provided, §5).
-pub fn split_dp_spoofing(alerts: &[NetscoutAlert]) -> (Vec<ObservedAttack>, Vec<ObservedAttack>) {
-    let mut spoofed = Vec::new();
-    let mut nonspoofed = Vec::new();
-    for al in alerts {
-        match al.class {
-            AttackClass::DirectPathSpoofed => spoofed.push(al.observation.clone()),
-            AttackClass::DirectPathNonSpoofed => nonspoofed.push(al.observation.clone()),
-            AttackClass::ReflectionAmplification => {}
-        }
-    }
-    (spoofed, nonspoofed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attackgen::attack::{AttackId, AttackVector};
+    use attackgen::attack::{Attack, AttackId, AttackVector};
     use netmodel::{Ipv4, NetScale};
     use simcore::SimTime;
 
@@ -452,6 +346,17 @@ mod tests {
         }
     }
 
+    /// Every alert a stream of attacks raises, in attack order.
+    fn alerts(ns: &Netscout, attacks: &[Attack], root: &SimRng) -> AlertColumns {
+        let mut out = AlertColumns::new();
+        for a in attacks {
+            if let Some((class, severity)) = ns.observe_view(a.view(), root) {
+                out.push(a.view(), class, severity);
+            }
+        }
+        out
+    }
+
     #[test]
     fn medium_floor_enforced() {
         let plan = plan();
@@ -462,7 +367,7 @@ mod tests {
         for id in 0..100 {
             let mut a = low.clone();
             a.id = AttackId(id);
-            seen += ns.observe(&a, &root).is_some() as u32;
+            seen += ns.observe_view(a.view(), &root).is_some() as u32;
         }
         assert_eq!(seen, 0, "sub-medium attacks must be excluded");
     }
@@ -475,12 +380,19 @@ mod tests {
         let mut found_medium = false;
         let mut found_high = false;
         for id in 0..100 {
-            if let Some(al) = ns.observe(&attack(&plan, id, 20_000.0, AttackClass::DirectPathNonSpoofed), &root) {
-                assert_eq!(al.severity, Severity::Medium);
+            let medium = attack(&plan, id, 20_000.0, AttackClass::DirectPathNonSpoofed);
+            if let Some((_, severity)) = ns.observe_view(medium.view(), &root) {
+                assert_eq!(severity, Severity::Medium);
                 found_medium = true;
             }
-            if let Some(al) = ns.observe(&attack(&plan, 1000 + id, 500_000.0, AttackClass::DirectPathNonSpoofed), &root) {
-                assert_eq!(al.severity, Severity::High);
+            let high = attack(
+                &plan,
+                1000 + id,
+                500_000.0,
+                AttackClass::DirectPathNonSpoofed,
+            );
+            if let Some((_, severity)) = ns.observe_view(high.view(), &root) {
+                assert_eq!(severity, Severity::High);
                 found_high = true;
             }
         }
@@ -501,7 +413,7 @@ mod tests {
         for id in 0..100 {
             let mut a = attack(&plan, id, 50_000.0, AttackClass::DirectPathNonSpoofed);
             a.target_asn = outsider;
-            assert!(ns.observe(&a, &root).is_none());
+            assert!(ns.observe_view(a.view(), &root).is_none());
         }
     }
 
@@ -510,27 +422,33 @@ mod tests {
         let plan = plan();
         let ns = Netscout::with_defaults(&plan);
         let root = SimRng::new(1);
-        let seen = (0..1000)
-            .filter(|&id| ns.observe(&attack(&plan, id, 50_000.0, AttackClass::DirectPathNonSpoofed), &root).is_some())
-            .count();
+        let attacks: Vec<Attack> = (0..1000)
+            .map(|id| attack(&plan, id, 50_000.0, AttackClass::DirectPathNonSpoofed))
+            .collect();
+        let seen = alerts(&ns, &attacks, &root).len();
         assert!((850..=950).contains(&seen), "seen {seen}");
     }
 
     #[test]
-    fn baseline_sample_fraction() {
+    fn baseline_keep_fraction() {
         let plan = plan();
         let ns = Netscout::with_defaults(&plan);
         let root = SimRng::new(1);
         let attacks: Vec<Attack> = (0..2000)
             .map(|id| attack(&plan, id, 50_000.0, AttackClass::DirectPathNonSpoofed))
             .collect();
-        let alerts = ns.observe_all(&attacks, &root);
-        let baseline = ns.baseline_sample(&alerts, &root);
+        let alerts = alerts(&ns, &attacks, &root);
+        let baseline: Vec<u64> = alerts
+            .obs
+            .attack_id
+            .iter()
+            .copied()
+            .filter(|&id| ns.baseline_keep(id, &root))
+            .collect();
         let frac = baseline.len() as f64 / alerts.len() as f64;
         assert!((frac - 0.28).abs() < 0.04, "baseline fraction {frac}");
-        // Deterministic.
-        let again = ns.baseline_sample(&alerts, &root);
-        assert_eq!(baseline.len(), again.len());
+        // Deterministic per alert.
+        assert!(baseline.iter().all(|&id| ns.baseline_keep(id, &root)));
     }
 
     #[test]
@@ -541,7 +459,7 @@ mod tests {
         let attacks: Vec<Attack> = (0..1000)
             .map(|id| attack(&plan, id, 50_000.0, AttackClass::DirectPathNonSpoofed))
             .collect();
-        let full = healthy.observe_all(&attacks, &root).len();
+        let full = alerts(&healthy, &attacks, &root);
 
         // An outage covering the attacks' week blacks everything out.
         let week = SimTime(1000).week_index() as u32;
@@ -550,7 +468,7 @@ mod tests {
             start_week: week,
             end_week: week + 1,
         });
-        assert_eq!(dark.observe_all(&attacks, &root).len(), 0);
+        assert_eq!(alerts(&dark, &attacks, &root).len(), 0);
 
         // Sampling degradation drops roughly the configured fraction and
         // never resurrects an alert the healthy path dropped.
@@ -559,17 +477,17 @@ mod tests {
             drop_fraction: 0.5,
             start_week: 0,
         });
-        let thinned = degraded.observe_all(&attacks, &root);
-        let frac = thinned.len() as f64 / full as f64;
+        let thinned = alerts(&degraded, &attacks, &root);
+        let frac = thinned.len() as f64 / full.len() as f64;
         assert!((0.4..=0.6).contains(&frac), "kept fraction {frac}");
-        let full_ids: std::collections::HashSet<u64> = healthy
-            .observe_all(&attacks, &root)
-            .iter()
-            .map(|al| al.observation.attack_id.0)
-            .collect();
+        // Both id lanes are in attack order, so containment is a
+        // subsequence check.
+        let mut full_ids = full.obs.attack_id.iter();
         assert!(thinned
+            .obs
+            .attack_id
             .iter()
-            .all(|al| full_ids.contains(&al.observation.attack_id.0)));
+            .all(|id| full_ids.any(|f| f == id)));
     }
 
     #[test]
@@ -586,13 +504,13 @@ mod tests {
             };
             attacks.push(attack(&plan, id, 50_000.0, class));
         }
-        let alerts = ns.observe_all(&attacks, &root);
-        let (ra, dp) = split_by_class(&alerts);
+        let alerts = alerts(&ns, &attacks, &root);
+        let (ra, dp) = split_by_class_columns(&alerts);
         assert_eq!(ra.len() + dp.len(), alerts.len());
-        assert!(ra.iter().all(|o| o.attack_id.0 % 3 == 0));
-        let (spoofed, nonspoofed) = split_dp_spoofing(&alerts);
+        assert!(ra.attack_id.iter().all(|id| id % 3 == 0));
+        let (spoofed, nonspoofed) = split_dp_spoofing_columns(&alerts);
         assert_eq!(spoofed.len() + nonspoofed.len(), dp.len());
-        assert!(spoofed.iter().all(|o| o.attack_id.0 % 3 == 1));
-        assert!(nonspoofed.iter().all(|o| o.attack_id.0 % 3 == 2));
+        assert!(spoofed.attack_id.iter().all(|id| id % 3 == 1));
+        assert!(nonspoofed.attack_id.iter().all(|id| id % 3 == 2));
     }
 }

@@ -7,10 +7,10 @@
 //! announcements first-class events — reaction latency, withdrawal lag
 //! (operators leave blackholes up long after the attack ends), and the
 //! collateral cost of dropping a whole prefix to protect one address —
-//! the phenomena of refs [77]/[113] that the paper's IXP counts sit on
+//! the phenomena of refs \[77\]/\[113\] that the paper's IXP counts sit on
 //! top of.
 
-use attackgen::{Attack, AttackId};
+use attackgen::{AttackId, AttackRef};
 use netmodel::{InternetPlan, Prefix};
 use serde::{Deserialize, Serialize};
 use simcore::dist::log_normal;
@@ -24,7 +24,7 @@ pub struct RtbhParams {
     pub reaction_median_secs: f64,
     pub reaction_sigma: f64,
     /// Median seconds the blackhole stays up *after* the attack ends
-    /// (operators withdraw late; [113] reports hours-long tails).
+    /// (operators withdraw late; \[113\] reports hours-long tails).
     pub overstay_median_secs: f64,
     pub overstay_sigma: f64,
     /// Probability that the victim announces a covering /24 rather than
@@ -63,7 +63,7 @@ impl BlackholeEvent {
 /// Derive the blackhole events a set of *IXP-observed* attacks would
 /// trigger. Deterministic per attack id.
 pub fn blackhole_events(
-    attacks: &[&Attack],
+    attacks: &[AttackRef<'_>],
     params: &RtbhParams,
     root: &SimRng,
 ) -> Vec<BlackholeEvent> {
@@ -112,13 +112,22 @@ pub struct RtbhStats {
     pub mean_addresses_attacked: f64,
 }
 
-/// Compute the cost statistics against the ground-truth attacks.
-pub fn rtbh_stats(events: &[BlackholeEvent], attacks: &[Attack]) -> Option<RtbhStats> {
+/// Compute the cost statistics against the ground-truth attacks, joined
+/// on attack id (`attacks` may be in any order). Events whose attack is
+/// not among `attacks` count toward blackholed time and dropped
+/// addresses, but not toward attack overlap or attacked addresses.
+pub fn rtbh_stats(events: &[BlackholeEvent], attacks: &[AttackRef<'_>]) -> Option<RtbhStats> {
     if events.is_empty() {
         return None;
     }
-    use std::collections::HashMap;
-    let by_id: HashMap<u64, &Attack> = attacks.iter().map(|a| (a.id.0, a)).collect();
+    let mut by_id: Vec<&AttackRef<'_>> = attacks.iter().collect();
+    by_id.sort_unstable_by_key(|a| a.id);
+    let find = |id: AttackId| {
+        by_id
+            .binary_search_by_key(&id, |a| a.id)
+            .ok()
+            .map(|i| by_id[i])
+    };
     let mut blackholed = 0i64;
     let mut overlap = 0i64;
     let mut dropped = 0.0f64;
@@ -126,7 +135,7 @@ pub fn rtbh_stats(events: &[BlackholeEvent], attacks: &[Attack]) -> Option<RtbhS
     for e in events {
         let span = e.duration_secs();
         blackholed += span;
-        if let Some(a) = by_id.get(&e.attack_id.0) {
+        if let Some(a) = find(e.attack_id) {
             let start = e.announced_at.0.max(a.start.0);
             let end = e.withdrawn_at.0.min(a.end().0);
             overlap += (end - start).max(0);
@@ -157,7 +166,7 @@ pub fn accepted_by_ixp(event: &BlackholeEvent, plan: &InternetPlan) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attackgen::attack::{AttackClass, AttackVector};
+    use attackgen::attack::{Attack, AttackClass, AttackVector};
     use netmodel::{Asn, Ipv4, NetScale};
 
     fn attack(id: u64, target: Ipv4, start: i64, duration: u32) -> Attack {
@@ -182,7 +191,7 @@ mod tests {
         let attacks: Vec<Attack> = (0..50)
             .map(|i| attack(i, Ipv4(0x0A00_0000 + i as u32), i as i64 * 10_000, 7200))
             .collect();
-        let refs: Vec<&Attack> = attacks.iter().collect();
+        let refs: Vec<AttackRef<'_>> = attacks.iter().map(Attack::view).collect();
         let events = blackhole_events(&refs, &RtbhParams::default(), &SimRng::new(1));
         assert!(!events.is_empty());
         for e in &events {
@@ -201,7 +210,7 @@ mod tests {
         let attacks: Vec<Attack> = (0..100)
             .map(|i| attack(i, Ipv4(1 + i as u32), 0, 30))
             .collect();
-        let refs: Vec<&Attack> = attacks.iter().collect();
+        let refs: Vec<AttackRef<'_>> = attacks.iter().map(Attack::view).collect();
         let events = blackhole_events(&refs, &RtbhParams::default(), &SimRng::new(1));
         // Median reaction is 300 s; a 30 s attack is essentially never
         // caught in time.
@@ -221,13 +230,35 @@ mod tests {
             announced_at: SimTime(600),
             withdrawn_at: SimTime(3600 + 7200), // 2 h overstay
         }];
-        let s = rtbh_stats(&events, &[a]).unwrap();
+        let s = rtbh_stats(&events, &[a.view()]).unwrap();
         assert_eq!(s.events, 1);
         assert_eq!(s.blackholed_secs, 10_200);
         assert_eq!(s.attack_overlap_secs, 3_000);
         assert!((s.overshoot_share - (1.0 - 3000.0 / 10200.0)).abs() < 1e-12);
         assert_eq!(s.mean_addresses_dropped, 256.0);
         assert_eq!(s.mean_addresses_attacked, 1.0);
+    }
+
+    #[test]
+    fn stats_join_on_id_across_unsorted_rows() {
+        let mut wide = attack(5, Ipv4(0x0A00_0001), 0, 1000);
+        wide.targets.push(Ipv4(0x0A00_0002));
+        let narrow = attack(2, Ipv4(0x0B00_0001), 5000, 1000);
+        let event = |id: u64, at: i64| BlackholeEvent {
+            attack_id: AttackId(id),
+            prefix: Prefix::new(Ipv4(0x0A00_0001), 32),
+            announced_at: SimTime(at),
+            withdrawn_at: SimTime(at + 2000),
+        };
+        // Attack 9 is not among the rows: it adds blackholed time and a
+        // dropped address, nothing else.
+        let events = [event(5, 100), event(2, 5100), event(9, 0)];
+        let s = rtbh_stats(&events, &[wide.view(), narrow.view()]).unwrap();
+        assert_eq!(s.events, 3);
+        assert_eq!(s.blackholed_secs, 6000);
+        assert_eq!(s.attack_overlap_secs, 900 + 900);
+        assert_eq!(s.mean_addresses_dropped, 1.0);
+        assert_eq!(s.mean_addresses_attacked, 1.0, "(2 + 1 + 0) / 3");
     }
 
     #[test]
@@ -240,7 +271,7 @@ mod tests {
         let attacks: Vec<Attack> = (0..20)
             .map(|i| attack(i, Ipv4(100 + i as u32), 0, 7200))
             .collect();
-        let refs: Vec<&Attack> = attacks.iter().collect();
+        let refs: Vec<AttackRef<'_>> = attacks.iter().map(Attack::view).collect();
         let a = blackhole_events(&refs, &RtbhParams::default(), &SimRng::new(9));
         let b = blackhole_events(&refs, &RtbhParams::default(), &SimRng::new(9));
         assert_eq!(a, b);

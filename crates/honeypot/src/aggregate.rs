@@ -12,7 +12,7 @@
 //!   (deliberately, as in the paper) recorded as many attacks.
 
 use crate::detector::HoneypotFlow;
-use attackgen::{AttackId, ObservationColumns, ObservedAttack};
+use attackgen::{AttackId, ObservationColumns};
 use netmodel::{InternetPlan, Ipv4, Prefix};
 use simcore::SimTime;
 use std::collections::BTreeMap;
@@ -95,62 +95,16 @@ pub fn carpet_prefix(plan: &InternetPlan, ip: Ipv4) -> Option<Prefix> {
     Some(Prefix::new(ip, len))
 }
 
-/// Appendix-I reconstruction over *observed* attacks: merge events that
-/// (a) start within `merge_gap_secs` of each other and (b) whose targets
-/// fall in the same carpet prefix (same routed block, same allocation).
-/// Targets of merged events are unioned.
-pub fn reconstruct_carpet_attacks(
-    plan: &InternetPlan,
-    observed: &[ObservedAttack],
-    merge_gap_secs: i64,
-) -> Vec<ObservedAttack> {
-    // Group key: the carpet prefix of the first target; events whose
-    // targets have no routed prefix stay singletons.
-    let mut keyed: Vec<(Option<Prefix>, &ObservedAttack)> = observed
-        .iter()
-        .map(|o| (carpet_prefix(plan, o.targets[0]), o))
-        .collect();
-    keyed.sort_by_key(|(p, o)| (*p, o.start));
-
-    let mut out: Vec<ObservedAttack> = Vec::new();
-    let mut i = 0;
-    while i < keyed.len() {
-        let (prefix, first) = keyed[i];
-        let mut merged = first.clone();
-        let mut last_start = first.start;
-        let mut j = i + 1;
-        while j < keyed.len() {
-            let (p2, next) = keyed[j];
-            let mergeable = prefix.is_some()
-                && p2 == prefix
-                && next.start.0 - last_start.0 <= merge_gap_secs;
-            if !mergeable {
-                break;
-            }
-            for &t in &next.targets {
-                if !merged.targets.contains(&t) {
-                    merged.targets.push(t);
-                }
-            }
-            // Keep the earliest id/start as the event identity.
-            last_start = next.start;
-            j += 1;
-        }
-        out.push(merged);
-        i = j;
-    }
-    out.sort_by_key(|o| (o.start, o.attack_id));
-    out
-}
-
-/// Appendix-I reconstruction over a columnar observation stream — the
-/// same algorithm as [`reconstruct_carpet_attacks`], scanning column
-/// data and writing merged rows straight into a fresh column set.
+/// Appendix-I reconstruction over an observation stream: merge events
+/// that (a) start within `merge_gap_secs` of each other and (b) whose
+/// targets fall in the same carpet prefix (same routed block, same
+/// allocation). Events whose first target has no routed prefix stay
+/// singletons.
 ///
-/// Equivalence with the struct path is exact: the struct version's
-/// stable `(prefix, start)` sort is reproduced by sorting row indices
-/// by `(prefix, start, index)`, target unions preserve first-seen
-/// order, and the merged event keeps the earliest row's id and start.
+/// Rows are grouped by the carpet prefix of their first target and
+/// scanned in `(prefix, start, input index)` order; a merged event
+/// keeps the earliest row's id and start, and unions the targets in
+/// first-seen order. The result is sorted by `(start, attack id)`.
 pub fn reconstruct_carpet_columns(
     plan: &InternetPlan,
     observed: &ObservationColumns,
@@ -206,19 +160,16 @@ pub fn reconstruct_carpet_columns(
     out
 }
 
-/// Convert merged per-victim events into [`ObservedAttack`] records
-/// (packet-level path). The event id is synthetic (packet streams do not
+/// Convert merged per-victim events into an observation stream, one
+/// single-target row per event (packet-level path). Event ids are
+/// synthetic, counting down from `u64::MAX` (packet streams do not
 /// carry ground-truth ids).
-pub fn events_to_observed(events: &[HoneypotEvent]) -> Vec<ObservedAttack> {
-    events
-        .iter()
-        .enumerate()
-        .map(|(i, e)| ObservedAttack {
-            attack_id: AttackId(u64::MAX - i as u64),
-            start: e.first_seen,
-            targets: vec![e.victim],
-        })
-        .collect()
+pub fn events_to_columns(events: &[HoneypotEvent]) -> ObservationColumns {
+    let mut out = ObservationColumns::with_capacity(events.len());
+    for (i, e) in events.iter().enumerate() {
+        out.push_row(AttackId(u64::MAX - i as u64), e.first_seen, &[e.victim]);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -308,20 +259,26 @@ mod tests {
         assert_eq!(carpet_prefix(&plan, Ipv4::new(223, 255, 255, 1)), None);
     }
 
+    /// A stream of single-target rows `(id, target, start secs)`.
+    fn stream(rows: &[(u64, Ipv4, i64)]) -> ObservationColumns {
+        let mut out = ObservationColumns::new();
+        for &(id, ip, t) in rows {
+            out.push_row(AttackId(id), SimTime(t), &[ip]);
+        }
+        out
+    }
+
     #[test]
     fn reconstruction_merges_same_prefix_events() {
         let plan = plan();
         let rec = plan.registry.get(netmodel::Asn(16276)).unwrap();
         let base = rec.prefixes[0].base();
-        let mk = |id: u64, off: u32, t: i64| ObservedAttack {
-            attack_id: AttackId(id),
-            start: SimTime(t),
-            targets: vec![Ipv4(base.0 + off)],
-        };
-        let observed = vec![mk(1, 1, 0), mk(2, 2, 60), mk(3, 3, 120)];
-        let merged = reconstruct_carpet_attacks(&plan, &observed, 600);
+        let at = |off: u32| Ipv4(base.0 + off);
+        let observed = stream(&[(1, at(1), 0), (2, at(2), 60), (3, at(3), 120)]);
+        let merged = reconstruct_carpet_columns(&plan, &observed, 600);
         assert_eq!(merged.len(), 1);
-        assert_eq!(merged[0].targets.len(), 3);
+        assert_eq!(merged.targets(0), &[at(1), at(2), at(3)]);
+        assert_eq!(merged.attack_id, vec![1], "earliest row names the event");
     }
 
     #[test]
@@ -331,19 +288,8 @@ mod tests {
         // same time: never merged, even if close in address space.
         let a = plan.registry.get(netmodel::Asn(16276)).unwrap().prefixes[0].nth(0);
         let b = plan.registry.get(netmodel::Asn(24940)).unwrap().prefixes[0].nth(0);
-        let observed = vec![
-            ObservedAttack {
-                attack_id: AttackId(1),
-                start: SimTime(0),
-                targets: vec![a],
-            },
-            ObservedAttack {
-                attack_id: AttackId(2),
-                start: SimTime(30),
-                targets: vec![b],
-            },
-        ];
-        let merged = reconstruct_carpet_attacks(&plan, &observed, 600);
+        let observed = stream(&[(1, a, 0), (2, b, 30)]);
+        let merged = reconstruct_carpet_columns(&plan, &observed, 600);
         assert_eq!(merged.len(), 2);
     }
 
@@ -352,20 +298,55 @@ mod tests {
         let plan = plan();
         let rec = plan.registry.get(netmodel::Asn(16276)).unwrap();
         let base = rec.prefixes[0].base();
-        let observed = vec![
-            ObservedAttack {
-                attack_id: AttackId(1),
-                start: SimTime(0),
-                targets: vec![Ipv4(base.0 + 1)],
-            },
-            ObservedAttack {
-                attack_id: AttackId(2),
-                start: SimTime(10_000),
-                targets: vec![Ipv4(base.0 + 2)],
-            },
-        ];
-        let merged = reconstruct_carpet_attacks(&plan, &observed, 600);
+        let observed = stream(&[(1, Ipv4(base.0 + 1), 0), (2, Ipv4(base.0 + 2), 10_000)]);
+        let merged = reconstruct_carpet_columns(&plan, &observed, 600);
         assert_eq!(merged.len(), 2);
+    }
+
+    /// A row of the owned reference: (attack id, start, targets).
+    type Row = (AttackId, SimTime, Vec<Ipv4>);
+
+    /// Reference Appendix-I reconstruction over owned rows: a stable
+    /// `(prefix, start)` sort, then greedy merging of runs within the
+    /// gap. [`reconstruct_carpet_columns`] must match it exactly.
+    fn reconstruct_carpet_attacks(
+        plan: &InternetPlan,
+        observed: &[Row],
+        merge_gap_secs: i64,
+    ) -> Vec<Row> {
+        let mut keyed: Vec<(Option<Prefix>, &Row)> = observed
+            .iter()
+            .map(|o| (carpet_prefix(plan, o.2[0]), o))
+            .collect();
+        keyed.sort_by_key(|(p, o)| (*p, o.1));
+
+        let mut out: Vec<Row> = Vec::new();
+        let mut i = 0;
+        while i < keyed.len() {
+            let (prefix, first) = keyed[i];
+            let mut merged = first.clone();
+            let mut last_start = first.1;
+            let mut j = i + 1;
+            while j < keyed.len() {
+                let (p2, next) = keyed[j];
+                let mergeable =
+                    prefix.is_some() && p2 == prefix && next.1 .0 - last_start.0 <= merge_gap_secs;
+                if !mergeable {
+                    break;
+                }
+                for &t in &next.2 {
+                    if !merged.2.contains(&t) {
+                        merged.2.push(t);
+                    }
+                }
+                last_start = next.1;
+                j += 1;
+            }
+            out.push(merged);
+            i = j;
+        }
+        out.sort_by_key(|o| (o.1, o.0));
+        out
     }
 
     #[test]
@@ -373,33 +354,32 @@ mod tests {
         let plan = plan();
         let base = plan.registry.get(netmodel::Asn(16276)).unwrap().prefixes[0].base();
         let other = plan.registry.get(netmodel::Asn(24940)).unwrap().prefixes[0].nth(0);
-        let mk = |id: u64, ip: Ipv4, t: i64| ObservedAttack {
-            attack_id: AttackId(id),
-            start: SimTime(t),
-            targets: vec![ip],
-        };
         // Same-prefix chains, a tie on (prefix, start) to exercise sort
         // stability, a foreign allocation, a time-gapped straggler, and
         // a duplicate target to exercise the union.
-        let observed = vec![
-            mk(4, Ipv4(base.0 + 2), 60),
-            mk(1, Ipv4(base.0 + 1), 0),
-            mk(2, Ipv4(base.0 + 2), 60),
-            mk(3, Ipv4(base.0 + 3), 120),
-            mk(5, other, 30),
-            mk(6, Ipv4(base.0 + 9), 50_000),
+        let rows = [
+            (4, Ipv4(base.0 + 2), 60),
+            (1, Ipv4(base.0 + 1), 0),
+            (2, Ipv4(base.0 + 2), 60),
+            (3, Ipv4(base.0 + 3), 120),
+            (5, other, 30),
+            (6, Ipv4(base.0 + 9), 50_000),
         ];
-        let struct_path = reconstruct_carpet_attacks(&plan, &observed, 600);
-        let columnar = reconstruct_carpet_columns(
-            &plan,
-            &ObservationColumns::from_observed(&observed),
-            600,
-        );
-        assert_eq!(columnar.to_vec(), struct_path);
+        let owned: Vec<Row> = rows
+            .iter()
+            .map(|&(id, ip, t)| (AttackId(id), SimTime(t), vec![ip]))
+            .collect();
+        let struct_path = reconstruct_carpet_attacks(&plan, &owned, 600);
+        let columnar = reconstruct_carpet_columns(&plan, &stream(&rows), 600);
+        let columnar: Vec<Row> = columnar
+            .iter()
+            .map(|o| (o.attack_id, o.start, o.targets.to_vec()))
+            .collect();
+        assert_eq!(columnar, struct_path);
     }
 
     #[test]
-    fn events_to_observed_roundtrip() {
+    fn events_to_columns_roundtrip() {
         let events = vec![HoneypotEvent {
             victim: Ipv4(7),
             first_seen: SimTime(100),
@@ -407,9 +387,10 @@ mod tests {
             packets: 50,
             sensor_count: 2,
         }];
-        let obs = events_to_observed(&events);
+        let obs = events_to_columns(&events);
         assert_eq!(obs.len(), 1);
-        assert_eq!(obs[0].targets, vec![Ipv4(7)]);
-        assert_eq!(obs[0].start, SimTime(100));
+        assert_eq!(obs.targets(0), &[Ipv4(7)]);
+        assert_eq!(obs.get(0).start, SimTime(100));
+        assert_eq!(obs.get(0).attack_id, AttackId(u64::MAX));
     }
 }

@@ -9,7 +9,7 @@
 //! then has to clear the platform's per-flow packet threshold (Table 2).
 
 use crate::platform::HoneypotConfig;
-use attackgen::{Attack, AttackClass, AttackRef, ObservationColumns, ObservedAttack};
+use attackgen::{AttackClass, AttackRef, ObservationColumns};
 use netmodel::{AmpVector, InternetPlan};
 use simcore::dist::{binomial, poisson};
 use simcore::faults::ObsFaults;
@@ -126,46 +126,25 @@ impl Honeypot {
         out.commit_row();
         true
     }
-
-    /// Event-level observation of one struct attack (the columnar
-    /// [`Honeypot::observe_into`] through a one-row sink).
-    pub fn observe(&self, attack: &Attack, root: &SimRng) -> Option<ObservedAttack> {
-        let mut out = ObservationColumns::new();
-        self.observe_into(attack.view(), root, &mut out)
-            .then(|| out.get(0).to_observed())
-    }
-
-    /// Observe a whole attack stream.
-    pub fn observe_all(&self, attacks: &[Attack], root: &SimRng) -> Vec<ObservedAttack> {
-        attacks
-            .iter()
-            .filter_map(|a| self.observe(a, root))
-            .collect()
-    }
-
-    /// Observe a whole attack stream, sharded across `pool`. Identical
-    /// output to [`Honeypot::observe_all`]: per-attack draws fork from
-    /// (attack id, platform name) and shards merge in input order.
-    pub fn observe_all_on(
-        &self,
-        attacks: &[Attack],
-        root: &SimRng,
-        pool: &simcore::ExecPool,
-    ) -> Vec<ObservedAttack> {
-        pool.par_filter_map(attacks, |a| self.observe(a, root))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attackgen::attack::{AttackId, AttackVector, ReflectorUse};
+    use attackgen::attack::{Attack, AttackId, AttackVector, ReflectorUse};
     use netmodel::{Asn, Ipv4, NetScale};
     use simcore::SimTime;
 
     fn plan() -> InternetPlan {
         let mut rng = SimRng::new(100);
         InternetPlan::build(&NetScale::tiny(), &mut rng)
+    }
+
+    /// One attack through [`Honeypot::observe_into`]: the one-row
+    /// stream it emitted, or `None` when the platform saw nothing.
+    fn observe_one(hp: &Honeypot, a: &Attack, root: &SimRng) -> Option<ObservationColumns> {
+        let mut out = ObservationColumns::new();
+        hp.observe_into(a.view(), root, &mut out).then_some(out)
     }
 
     fn ra(id: u64, vector: AmpVector, k: u32, pps: f64, width: u32) -> Attack {
@@ -198,7 +177,9 @@ mod tests {
         // Selection probability ≈ 1 - (1 - k/P)^65; pick k for ≈95 %.
         let k = (pool * 0.045) as u32;
         let seen = (0..200)
-            .filter(|&id| hp.observe(&ra(id, AmpVector::Dns, k, 50_000.0, 1), &root).is_some())
+            .filter(|&id| {
+                observe_one(&hp, &ra(id, AmpVector::Dns, k, 50_000.0, 1), &root).is_some()
+            })
             .count();
         assert!(seen > 170, "seen {seen}/200");
     }
@@ -209,7 +190,9 @@ mod tests {
         let hp = Honeypot::hopscotch(&plan);
         let root = SimRng::new(1);
         let seen = (0..200)
-            .filter(|&id| hp.observe(&ra(id, AmpVector::Dns, 20, 50_000.0, 1), &root).is_some())
+            .filter(|&id| {
+                observe_one(&hp, &ra(id, AmpVector::Dns, 20, 50_000.0, 1), &root).is_some()
+            })
             .count();
         // 20 / 50k pool × 65 sensors ⇒ ~2.6 % selection.
         assert!(seen < 20, "seen {seen}/200");
@@ -227,8 +210,8 @@ mod tests {
         let mut amppot_seen = 0;
         for id in 0..100 {
             let a = ra(id, AmpVector::CharGen, k, 100_000.0, 1);
-            assert!(hops.observe(&a, &root).is_none());
-            amppot_seen += amppot.observe(&a, &root).is_some() as u32;
+            assert!(observe_one(&hops, &a, &root).is_none());
+            amppot_seen += observe_one(&amppot, &a, &root).is_some() as u32;
         }
         assert!(amppot_seen > 50, "amppot {amppot_seen}");
     }
@@ -242,7 +225,7 @@ mod tests {
         a.class = AttackClass::DirectPathSpoofed;
         a.reflectors = None;
         a.spoof_space_fraction = 1.0;
-        assert!(hp.observe(&a, &root).is_none());
+        assert!(observe_one(&hp, &a, &root).is_none());
     }
 
     #[test]
@@ -266,8 +249,8 @@ mod tests {
             let pps = k as f64 * 30.0 / duration as f64;
             let mut a = ra(id, AmpVector::Dns, k, pps, 1);
             a.duration_secs = duration;
-            hops_seen += hops.observe(&a, &root).is_some() as u32;
-            amppot_seen += amppot.observe(&a, &root).is_some() as u32;
+            hops_seen += observe_one(&hops, &a, &root).is_some() as u32;
+            amppot_seen += observe_one(&amppot, &a, &root).is_some() as u32;
         }
         assert!(hops_seen > 200, "hopscotch {hops_seen}");
         assert!(amppot_seen < hops_seen / 4, "amppot {amppot_seen} vs {hops_seen}");
@@ -286,8 +269,8 @@ mod tests {
         let mut both = 0;
         for id in 0..400 {
             let a = ra(id, AmpVector::Dns, k, 100_000.0, 1);
-            let h = hops.observe(&a, &root).is_some();
-            let m = amppot.observe(&a, &root).is_some();
+            let h = observe_one(&hops, &a, &root).is_some();
+            let m = observe_one(&amppot, &a, &root).is_some();
             if h && m {
                 both += 1;
             } else if h {
@@ -315,9 +298,10 @@ mod tests {
         let mut partial = false;
         for id in 0..100 {
             let a = ra(id, AmpVector::Ssdp, k, pps, width);
-            if let Some(o) = hp.observe(&a, &root) {
-                assert!(o.targets.iter().all(|t| a.targets.contains(t)));
-                if o.targets.len() < width as usize {
+            if let Some(o) = observe_one(&hp, &a, &root) {
+                let targets = o.targets(0);
+                assert!(targets.iter().all(|t| a.targets.contains(t)));
+                if targets.len() < width as usize {
                     partial = true;
                 }
             }
@@ -352,7 +336,7 @@ mod tests {
                 .filter(|&id| {
                     let mut a = ra(id, AmpVector::Dns, k, 50_000.0, 1);
                     a.start = start;
-                    hp.observe(&a, &root).is_some()
+                    observe_one(hp, &a, &root).is_some()
                 })
                 .count()
         };
@@ -373,9 +357,9 @@ mod tests {
         let root = SimRng::new(5);
         let pool = plan.reflector_pools[&AmpVector::Ntp] as f64;
         let a = ra(42, AmpVector::Ntp, (pool * 0.05) as u32, 80_000.0, 1);
-        let first = hp.observe(&a, &root);
+        let first = observe_one(&hp, &a, &root);
         for _ in 0..10 {
-            assert_eq!(hp.observe(&a, &root), first);
+            assert_eq!(observe_one(&hp, &a, &root), first);
         }
     }
 }

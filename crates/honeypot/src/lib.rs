@@ -14,8 +14,7 @@ pub mod pipeline;
 pub mod platform;
 
 pub use aggregate::{
-    carpet_prefix, events_to_observed, merge_sensor_flows, reconstruct_carpet_attacks,
-    reconstruct_carpet_columns,
+    carpet_prefix, events_to_columns, merge_sensor_flows, reconstruct_carpet_columns,
     HoneypotEvent, CARPET_MAX_PREFIX, CARPET_MIN_PREFIX,
 };
 pub use detector::{AttackMode, HoneypotDetector, HoneypotFlow, HpFlowKey};

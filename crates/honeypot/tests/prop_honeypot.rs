@@ -1,9 +1,9 @@
 //! Property-based tests for the honeypot detector and aggregation
 //! chain.
 
-use attackgen::{AttackId, ObservedAttack, PacketEvent};
+use attackgen::{AttackId, ObservationColumns, PacketEvent};
 use honeypot::{
-    merge_sensor_flows, reconstruct_carpet_attacks, HoneypotConfig, HoneypotDetector,
+    merge_sensor_flows, reconstruct_carpet_columns, HoneypotConfig, HoneypotDetector,
 };
 use netmodel::{AmpVector, InternetPlan, Ipv4, NetScale, Transport};
 use proptest::prelude::*;
@@ -124,29 +124,19 @@ proptest! {
             netmodel::Asn(24940),
             netmodel::Asn(16509),
         ];
-        let observed: Vec<ObservedAttack> = raw
-            .iter()
-            .enumerate()
-            .map(|(i, &(as_pick, offset, start))| {
-                let base = plan.registry.get(asns[as_pick]).unwrap().prefixes[0];
-                ObservedAttack {
-                    attack_id: AttackId(i as u64),
-                    start: SimTime(start),
-                    targets: vec![base.nth((offset as u64) % base.size())],
-                }
-            })
-            .collect();
-        let merged = reconstruct_carpet_attacks(&plan, &observed, gap);
+        let mut observed = ObservationColumns::new();
+        for (i, &(as_pick, offset, start)) in raw.iter().enumerate() {
+            let base = plan.registry.get(asns[as_pick]).unwrap().prefixes[0];
+            let target = base.nth((offset as u64) % base.size());
+            observed.push_row(AttackId(i as u64), SimTime(start), &[target]);
+        }
+        let merged = reconstruct_carpet_columns(&plan, &observed, gap);
         prop_assert!(merged.len() <= observed.len());
         prop_assert!(!merged.is_empty());
-        let in_targets: std::collections::HashSet<Ipv4> = observed
-            .iter()
-            .flat_map(|o| o.targets.iter().copied())
-            .collect();
-        let out_targets: std::collections::HashSet<Ipv4> = merged
-            .iter()
-            .flat_map(|o| o.targets.iter().copied())
-            .collect();
+        let in_targets: std::collections::HashSet<Ipv4> =
+            observed.target_arena.iter().copied().collect();
+        let out_targets: std::collections::HashSet<Ipv4> =
+            merged.target_arena.iter().copied().collect();
         prop_assert_eq!(in_targets, out_targets);
     }
 

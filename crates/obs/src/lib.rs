@@ -12,7 +12,7 @@
 //! * [`metrics`] — a registry of named counters, gauges, and
 //!   fixed-bucket histograms behind relaxed atomics. Cheap enough for
 //!   hot loops; snapshots are deterministically ordered.
-//! * [`span`] — guard-style wall-clock timers ([`span!`]) that nest
+//! * [`span`](mod@span) — guard-style wall-clock timers ([`span!`]) that nest
 //!   lexically per thread (`run.generate`, `run.observe`, …) and
 //!   record per-stage latency histograms. This module is the one
 //!   sanctioned home of `std::time::Instant` in the workspace: the

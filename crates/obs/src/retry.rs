@@ -42,7 +42,7 @@ fn backoff_ms(attempt: u32) -> u64 {
     }
 }
 
-/// Run `op(attempt)` up to `attempts` times, sleeping [`backoff_ms`]
+/// Run `op(attempt)` up to `attempts` times, sleeping `backoff_ms`
 /// between tries, retrying only while `retryable` accepts the error.
 /// The final error (or the first non-retryable one) is returned as-is.
 /// Each retry is logged at debug level and counted in `io.retries`.

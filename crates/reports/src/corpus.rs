@@ -2,7 +2,7 @@
 //! surveys (§3, Table 3), encoded as structured data.
 //!
 //! This is the machine-readable version of the paper's supplementary
-//! knowledge base [13]: per report, the format, analysis period, the
+//! knowledge base \[13\]: per report, the format, analysis period, the
 //! trend each vendor claims per attack class, and the metrics the report
 //! uses. Claims follow the paper's §3 "Comparing findings" discussion
 //! and the Table-1 right column (direct path: 5 reports increasing,

@@ -1,7 +1,7 @@
 //! `reports` — the industry-report knowledge base and synthesis layer.
 //!
-//! [`corpus`] encodes the paper's 24-report survey (§3, Table 3) as
-//! structured claims; [`synthesize`] regenerates vendor-report-style
+//! [`corpus`](mod@corpus) encodes the paper's 24-report survey (§3, Table 3) as
+//! structured claims; [`synthesize`](mod@synthesize) regenerates vendor-report-style
 //! year-over-year summaries from simulated observatory series, closing
 //! the loop for the Table-1 comparison.
 

@@ -1,7 +1,7 @@
 //! Markdown rendering of the industry-report knowledge base.
 //!
 //! The paper publishes its survey as a living, community-extendable
-//! table (Appendix E / ref [13], ddoscovery.github.io). This renderer
+//! table (Appendix E / ref \[13\], ddoscovery.github.io). This renderer
 //! produces that artifact from the typed corpus so the two can never
 //! drift apart.
 

@@ -320,22 +320,6 @@ impl ExecPool {
         }
     }
 
-    /// Filter-map over `items` in parallel, preserving input order.
-    /// `chunk_size` is derived so each worker gets a handful of shards
-    /// (dynamic claiming smooths uneven per-item cost).
-    pub fn par_filter_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> Option<R> + Sync,
-    {
-        let chunk = shard_size(items.len(), self.workers);
-        let shards = self.par_chunks_indexed(items, chunk, |_, shard| {
-            shard.iter().filter_map(&f).collect::<Vec<R>>()
-        });
-        shards.into_iter().flatten().collect()
-    }
-
     /// Run `f(0..n)` across workers, returning results in index order.
     pub fn run_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
@@ -415,17 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_map_preserves_order() {
-        let items: Vec<u32> = (0..5000).collect();
-        let keep_odd = |x: &u32| (x % 2 == 1).then_some(*x * 10);
-        let serial = ExecPool::serial().par_filter_map(&items, keep_odd);
-        let par = ExecPool::new(4).par_filter_map(&items, keep_odd);
-        assert_eq!(serial, par);
-        assert_eq!(serial.len(), 2500);
-        assert!(serial.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
     fn run_indexed_in_order() {
         let serial = ExecPool::serial().run_indexed(64, |i| i * i);
         let par = ExecPool::new(5).run_indexed(64, |i| i * i);
@@ -437,8 +410,6 @@ mod tests {
     fn empty_input_is_fine() {
         let empty: Vec<u8> = Vec::new();
         let out = ExecPool::new(4).par_chunks_indexed(&empty, 8, |_, c| c.len());
-        assert!(out.is_empty());
-        let out = ExecPool::new(4).par_filter_map(&empty, |x: &u8| Some(*x));
         assert!(out.is_empty());
     }
 

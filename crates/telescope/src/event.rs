@@ -10,7 +10,7 @@
 
 use crate::corsaro::RsdosConfig;
 use attackgen::packets::BACKSCATTER_RESPONSE_RATE;
-use attackgen::{Attack, AttackClass, AttackRef, ObservationColumns, ObservedAttack};
+use attackgen::{AttackClass, AttackRef, ObservationColumns};
 use netmodel::{InternetPlan, TelescopePlan};
 use simcore::dist::poisson;
 use simcore::faults::ObsFaults;
@@ -120,48 +120,26 @@ impl Telescope {
         out.commit_row();
         true
     }
-
-    /// Event-level observation of one struct attack (the columnar
-    /// [`Telescope::observe_into`] through a one-row sink).
-    pub fn observe(&self, attack: &Attack, root: &SimRng) -> Option<ObservedAttack> {
-        let mut out = ObservationColumns::new();
-        self.observe_into(attack.view(), root, &mut out)
-            .then(|| out.get(0).to_observed())
-    }
-
-    /// Observe a whole attack stream.
-    pub fn observe_all(&self, attacks: &[Attack], root: &SimRng) -> Vec<ObservedAttack> {
-        attacks
-            .iter()
-            .filter_map(|a| self.observe(a, root))
-            .collect()
-    }
-
-    /// Observe a whole attack stream, sharded across `pool`. Per-attack
-    /// verdicts fork from (attack id, telescope name), so shard
-    /// boundaries cannot perturb them; the pool merges shards in input
-    /// order, making the result identical to [`Telescope::observe_all`].
-    pub fn observe_all_on(
-        &self,
-        attacks: &[Attack],
-        root: &SimRng,
-        pool: &simcore::ExecPool,
-    ) -> Vec<ObservedAttack> {
-        pool.par_filter_map(attacks, |a| self.observe(a, root))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::corsaro::RsdosDetector;
-    use attackgen::attack::{AttackId, AttackVector};
+    use attackgen::attack::{Attack, AttackId, AttackVector};
     use attackgen::packets::backscatter_packets;
     use netmodel::{Asn, Ipv4, NetScale};
 
     fn plan() -> InternetPlan {
         let mut rng = SimRng::new(100);
         InternetPlan::build(&NetScale::tiny(), &mut rng)
+    }
+
+    /// One attack through [`Telescope::observe_into`]: the one-row
+    /// stream it emitted, or `None` when the telescope saw nothing.
+    fn observe_one(t: &Telescope, a: &Attack, root: &SimRng) -> Option<ObservationColumns> {
+        let mut out = ObservationColumns::new();
+        t.observe_into(a.view(), root, &mut out).then_some(out)
     }
 
     fn rsdos(id: u64, pps: f64, duration: u32, spoof: f64) -> Attack {
@@ -187,8 +165,8 @@ mod tests {
         let (ucsd, orion) = (Telescope::ucsd(&plan), Telescope::orion(&plan));
         let root = SimRng::new(1);
         let a = rsdos(1, 500_000.0, 600, 1.0);
-        assert!(ucsd.observe(&a, &root).is_some());
-        assert!(orion.observe(&a, &root).is_some());
+        assert!(observe_one(&ucsd, &a, &root).is_some());
+        assert!(observe_one(&orion, &a, &root).is_some());
     }
 
     #[test]
@@ -203,8 +181,8 @@ mod tests {
         let mut orion_hits = 0;
         for id in 0..100 {
             let a = rsdos(id, 400.0, 600, 1.0);
-            ucsd_hits += ucsd.observe(&a, &root).is_some() as u32;
-            orion_hits += orion.observe(&a, &root).is_some() as u32;
+            ucsd_hits += observe_one(&ucsd, &a, &root).is_some() as u32;
+            orion_hits += observe_one(&orion, &a, &root).is_some() as u32;
         }
         assert!(ucsd_hits > 90, "ucsd {ucsd_hits}");
         assert!(orion_hits < 10, "orion {orion_hits}");
@@ -217,8 +195,8 @@ mod tests {
         let root = SimRng::new(1);
         for id in 0..50 {
             let a = rsdos(id, 50.0, 300, 1.0);
-            assert!(ucsd.observe(&a, &root).is_none());
-            assert!(orion.observe(&a, &root).is_none());
+            assert!(observe_one(&ucsd, &a, &root).is_none());
+            assert!(observe_one(&orion, &a, &root).is_none());
         }
     }
 
@@ -230,9 +208,9 @@ mod tests {
         let mut a = rsdos(1, 500_000.0, 600, 1.0);
         a.class = AttackClass::DirectPathNonSpoofed;
         a.spoof_space_fraction = 0.0;
-        assert!(ucsd.observe(&a, &root).is_none());
+        assert!(observe_one(&ucsd, &a, &root).is_none());
         a.class = AttackClass::ReflectionAmplification;
-        assert!(ucsd.observe(&a, &root).is_none());
+        assert!(observe_one(&ucsd, &a, &root).is_none());
     }
 
     #[test]
@@ -241,7 +219,7 @@ mod tests {
         let ucsd = Telescope::ucsd(&plan);
         let root = SimRng::new(1);
         let a = rsdos(1, 500_000.0, 45, 1.0); // under 60 s
-        assert!(ucsd.observe(&a, &root).is_none());
+        assert!(observe_one(&ucsd, &a, &root).is_none());
     }
 
     #[test]
@@ -250,7 +228,7 @@ mod tests {
         let ucsd = Telescope::ucsd(&plan);
         let root = SimRng::new(1);
         let seen = (0..300)
-            .filter(|&id| ucsd.observe(&rsdos(id, 500_000.0, 600, 0.4), &root).is_some())
+            .filter(|&id| observe_one(&ucsd, &rsdos(id, 500_000.0, 600, 0.4), &root).is_some())
             .count();
         // ~40% inclusion probability.
         assert!((80..=160).contains(&seen), "seen {seen}");
@@ -262,9 +240,9 @@ mod tests {
         let ucsd = Telescope::ucsd(&plan);
         let root = SimRng::new(9);
         let a = rsdos(7, 2_000.0, 300, 0.7);
-        let first = ucsd.observe(&a, &root);
+        let first = observe_one(&ucsd, &a, &root);
         for _ in 0..10 {
-            assert_eq!(ucsd.observe(&a, &root), first);
+            assert_eq!(observe_one(&ucsd, &a, &root), first);
         }
     }
 
@@ -278,8 +256,8 @@ mod tests {
         let mut diverged = false;
         for id in 0..200 {
             let a = rsdos(id, 10_000_000.0, 600, 0.5);
-            let u = ucsd.observe(&a, &root).is_some();
-            let o = orion.observe(&a, &root).is_some();
+            let u = observe_one(&ucsd, &a, &root).is_some();
+            let o = observe_one(&orion, &a, &root).is_some();
             if u != o {
                 diverged = true;
                 break;
@@ -304,7 +282,7 @@ mod tests {
         {
             for rep in 0..5 {
                 let a = rsdos(1000 + (i * 5 + rep) as u64, pps, 600, 1.0);
-                let event_verdict = ucsd.observe(&a, &root).is_some();
+                let event_verdict = observe_one(&ucsd, &a, &root).is_some();
                 let mut pkt_rng = root.fork(a.id.0).fork_named("packets");
                 let pkts = backscatter_packets(&a, &ucsd.spec, &mut pkt_rng);
                 let mut det = RsdosDetector::new(RsdosConfig::default());
@@ -334,27 +312,36 @@ mod tests {
         let healthy = Telescope::ucsd(&plan);
         let root = SimRng::new(1);
         let a = rsdos(1, 500_000.0, 600, 1.0);
-        assert!(healthy.observe(&a, &root).is_some());
-        assert!(dark.observe(&a, &root).is_none(), "in-window attack must vanish");
+        assert!(observe_one(&healthy, &a, &root).is_some());
+        assert!(
+            observe_one(&dark, &a, &root).is_none(),
+            "in-window attack must vanish"
+        );
         // An attack one week later is past the outage and must match
         // the healthy telescope bit-for-bit.
         let mut later = rsdos(2, 500_000.0, 600, 1.0);
         later.start = simcore::SimTime(later.start.0 + 7 * 86_400);
-        assert_eq!(dark.observe(&later, &root), healthy.observe(&later, &root));
+        assert_eq!(
+            observe_one(&dark, &later, &root),
+            observe_one(&healthy, &later, &root)
+        );
     }
 
     #[test]
-    fn observe_all_filters() {
+    fn observe_into_appends_only_seen_rows() {
         let plan = plan();
         let ucsd = Telescope::ucsd(&plan);
         let root = SimRng::new(2);
-        let attacks = vec![
+        let attacks = [
             rsdos(1, 500_000.0, 600, 1.0),
             rsdos(2, 10.0, 300, 1.0),
             rsdos(3, 500_000.0, 600, 1.0),
         ];
-        let seen = ucsd.observe_all(&attacks, &root);
-        assert_eq!(seen.len(), 2);
-        assert!(seen.iter().all(|o| o.attack_id.0 != 2));
+        let mut seen = ObservationColumns::new();
+        for a in &attacks {
+            ucsd.observe_into(a.view(), &root, &mut seen);
+        }
+        assert_eq!(seen.attack_id, vec![1, 3]);
+        assert_eq!(seen.targets(1), attacks[2].targets.as_slice());
     }
 }

@@ -1,8 +1,8 @@
-//! Property tests pinning the §5 aggregation seams (ISSUE 6 satellite):
-//! `weekly_counts` and `distinct_target_tuples` behavior is frozen
-//! *before* the columnar refactor, so the SoA equivalents are checked
-//! against these invariants rather than against whatever the new code
-//! happens to do.
+//! Property tests pinning the §5 aggregation seams of
+//! [`ObservationColumns`]: `weekly_counts` and `distinct_target_tuples`
+//! are checked against first-principles references computed from the
+//! plain `(start, targets)` records the columns were built from, never
+//! against a second implementation.
 //!
 //! Pinned contracts:
 //!
@@ -11,14 +11,9 @@
 //!   out-of-range weeks (negative starts, past study end) are silently
 //!   dropped, never a panic or an out-of-bounds write.
 //! * `distinct_target_tuples` — sorted ascending, strictly deduplicated,
-//!   and exactly the set of `(start day, target ip)` pairs; the borrowed
-//!   `distinct_target_tuples_of` path agrees with the owned path on any
-//!   subset without cloning records.
+//!   and exactly the set of `(start day, target ip)` pairs.
 
-use attackgen::{
-    distinct_target_tuples, distinct_target_tuples_of, weekly_counts, AttackId,
-    ObservationColumns, ObservedAttack,
-};
+use attackgen::{AttackId, ObservationColumns};
 use netmodel::Ipv4;
 use proptest::prelude::*;
 use simcore::{SimTime, STUDY_WEEKS};
@@ -29,12 +24,19 @@ use std::collections::BTreeSet;
 /// boundary instants the bucketing must get right).
 const WILD_SECS: std::ops::Range<i64> = -200_000_000i64..400_000_000i64;
 
-fn obs(start_secs: i64, ips: &[u32]) -> ObservedAttack {
-    ObservedAttack {
-        attack_id: AttackId(start_secs.unsigned_abs()),
-        start: SimTime(start_secs),
-        targets: ips.iter().map(|&i| Ipv4(i)).collect(),
+/// Columns holding one row per `(start secs, target ips)` record, in
+/// order.
+fn columns(records: &[(i64, Vec<u32>)]) -> ObservationColumns {
+    let mut out = ObservationColumns::new();
+    for (start, ips) in records {
+        let targets: Vec<Ipv4> = ips.iter().map(|&i| Ipv4(i)).collect();
+        out.push_row(AttackId(start.unsigned_abs()), SimTime(*start), &targets);
     }
+    out
+}
+
+fn week(start_secs: i64) -> i64 {
+    SimTime(start_secs).week_index()
 }
 
 proptest! {
@@ -47,24 +49,20 @@ proptest! {
     fn weekly_counts_bucket_or_drop(
         starts in proptest::collection::vec(WILD_SECS, 0..40),
     ) {
-        let observations: Vec<ObservedAttack> =
-            starts.iter().map(|&s| obs(s, &[1])).collect();
-        let counts = weekly_counts(&observations);
+        let records: Vec<(i64, Vec<u32>)> = starts.iter().map(|&s| (s, vec![1])).collect();
+        let counts = columns(&records).weekly_counts();
         prop_assert_eq!(counts.len(), STUDY_WEEKS);
 
-        let in_range = observations
+        let in_range = starts
             .iter()
-            .filter(|o| (0..STUDY_WEEKS as i64).contains(&o.week()))
+            .filter(|&&s| (0..STUDY_WEEKS as i64).contains(&week(s)))
             .count();
         let total: f64 = counts.iter().sum();
         prop_assert_eq!(total as usize, in_range, "counts must equal in-study observations");
 
         // Per-bucket recount from first principles.
         for (w, &c) in counts.iter().enumerate() {
-            let expect = observations
-                .iter()
-                .filter(|o| o.week() == w as i64)
-                .count();
+            let expect = starts.iter().filter(|&&s| week(s) == w as i64).count();
             prop_assert_eq!(c as usize, expect, "week {} miscounted", w);
         }
     }
@@ -74,13 +72,13 @@ proptest! {
     #[test]
     fn weekly_counts_boundaries(off in 0i64..604_800) {
         let last_week_start = (STUDY_WEEKS as i64 - 1) * 604_800;
-        let observations = vec![
-            obs(off, &[1]),                    // inside week 0
-            obs(-1 - off, &[1]),               // just before the study
-            obs(last_week_start + off % 604_800, &[1]), // inside last week
-            obs(STUDY_WEEKS as i64 * 604_800 + off, &[1]), // past the end
+        let records = vec![
+            (off, vec![1]),                                  // inside week 0
+            (-1 - off, vec![1]),                             // just before the study
+            (last_week_start + off % 604_800, vec![1]),      // inside last week
+            (STUDY_WEEKS as i64 * 604_800 + off, vec![1]),   // past the end
         ];
-        let counts = weekly_counts(&observations);
+        let counts = columns(&records).weekly_counts();
         prop_assert_eq!(counts[0], 1.0);
         prop_assert_eq!(counts[STUDY_WEEKS - 1], 1.0);
         let total: f64 = counts.iter().sum();
@@ -96,18 +94,19 @@ proptest! {
             0..30,
         ),
     ) {
-        let observations: Vec<ObservedAttack> =
-            records.iter().map(|(s, ips)| obs(*s, ips)).collect();
-        let tuples = distinct_target_tuples(&observations);
+        let tuples = columns(&records).distinct_target_tuples();
 
         // Strictly increasing ⇒ both sorted and deduplicated.
         for pair in tuples.windows(2) {
             prop_assert!(pair[0] < pair[1], "tuples not strictly sorted: {:?}", pair);
         }
 
-        let expect: BTreeSet<(i64, Ipv4)> = observations
+        let expect: BTreeSet<(i64, Ipv4)> = records
             .iter()
-            .flat_map(|o| o.target_tuples())
+            .flat_map(|(s, ips)| {
+                let day = SimTime(*s).day_index();
+                ips.iter().map(move |&i| (day, Ipv4(i)))
+            })
             .collect();
         prop_assert_eq!(tuples.len(), expect.len());
         for (got, want) in tuples.iter().zip(expect.iter()) {
@@ -115,11 +114,11 @@ proptest! {
         }
     }
 
-    /// Columnar equivalence (DESIGN.md §9): the SoA projections over
-    /// an `ObservationColumns` arena agree bit-for-bit with the AoS
-    /// reference paths on the same records — including negative
-    /// starts, out-of-study weeks, and empty target lists — and the
-    /// round trip through the columns loses nothing.
+    /// Row views (DESIGN.md §9): every row of the arena reads back the
+    /// record it was built from — including negative starts,
+    /// out-of-study weeks and empty target lists — and its per-row
+    /// projections (`week`, `target_tuples`) agree with the stream-wide
+    /// ones.
     #[test]
     fn columnar_projections_match_aos(
         records in proptest::collection::vec(
@@ -127,55 +126,23 @@ proptest! {
             0..30,
         ),
     ) {
-        let observations: Vec<ObservedAttack> =
-            records.iter().map(|(s, ips)| obs(*s, ips)).collect();
-        let columns = ObservationColumns::from_observed(&observations);
-        prop_assert_eq!(columns.len(), observations.len());
-
-        prop_assert_eq!(
-            columns.weekly_counts(),
-            weekly_counts(&observations),
-            "columnar weekly_counts diverged from the AoS reference"
-        );
-        prop_assert_eq!(
-            columns.distinct_target_tuples(),
-            distinct_target_tuples(&observations),
-            "columnar distinct_target_tuples diverged from the AoS reference"
-        );
-
-        // Row views and the full round trip preserve every record.
-        for (i, o) in observations.iter().enumerate() {
+        let columns = columns(&records);
+        prop_assert_eq!(columns.len(), records.len());
+        let counts = columns.weekly_counts();
+        let tuples = columns.distinct_target_tuples();
+        for (i, (start, ips)) in records.iter().enumerate() {
             let row = columns.get(i);
-            prop_assert_eq!(row.attack_id, o.attack_id);
-            prop_assert_eq!(row.start, o.start);
-            prop_assert_eq!(row.targets, o.targets.as_slice());
+            prop_assert_eq!(row.attack_id, AttackId(start.unsigned_abs()));
+            prop_assert_eq!(row.start, SimTime(*start));
+            let targets: Vec<Ipv4> = ips.iter().map(|&ip| Ipv4(ip)).collect();
+            prop_assert_eq!(row.targets, targets.as_slice());
+            prop_assert_eq!(row.week(), week(*start));
+            if (0..STUDY_WEEKS as i64).contains(&row.week()) {
+                prop_assert!(counts[row.week() as usize] >= 1.0);
+            }
+            for t in row.target_tuples() {
+                prop_assert!(tuples.binary_search(&t).is_ok(), "row tuple {:?} missing", t);
+            }
         }
-        prop_assert_eq!(columns.to_vec(), observations);
-    }
-
-    /// The borrowed-iterator path agrees with the owned path on any
-    /// subset of the records (this is the §7.2 baseline-sample shape:
-    /// a `Vec<&ObservedAttack>` projected without cloning).
-    #[test]
-    fn borrowed_path_matches_owned(
-        records in proptest::collection::vec(
-            (WILD_SECS, proptest::collection::vec(0u32..20, 1..4)),
-            1..20,
-        ),
-        keep_mask in any::<u32>(),
-    ) {
-        let observations: Vec<ObservedAttack> =
-            records.iter().map(|(s, ips)| obs(*s, ips)).collect();
-        let subset: Vec<&ObservedAttack> = observations
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| keep_mask & (1 << (i % 32)) != 0)
-            .map(|(_, o)| o)
-            .collect();
-        let owned: Vec<ObservedAttack> = subset.iter().map(|&o| o.clone()).collect();
-        prop_assert_eq!(
-            distinct_target_tuples_of(subset.into_iter()),
-            distinct_target_tuples(&owned)
-        );
     }
 }

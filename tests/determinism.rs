@@ -127,15 +127,25 @@ fn observation_independent_of_stream_order() {
     let run = StudyRun::execute(&cfg);
     let root = SimRng::new(cfg.seed).fork_named("observatories");
     let tele = Telescope::ucsd(&run.plan);
-    let attacks = run.attacks.to_vec();
-    let forward = tele.observe_all(&attacks, &root);
-    let mut reversed_attacks = attacks.clone();
-    reversed_attacks.reverse();
-    let mut backward = tele.observe_all(&reversed_attacks, &root);
-    backward.sort_by_key(|o| o.attack_id);
-    let mut forward_sorted = forward.clone();
-    forward_sorted.sort_by_key(|o| o.attack_id);
-    assert_eq!(forward_sorted, backward);
+    let observe = |rows: &mut dyn Iterator<Item = attackgen::AttackRef<'_>>| {
+        let mut out = attackgen::ObservationColumns::new();
+        for a in rows {
+            tele.observe_into(a, &root, &mut out);
+        }
+        let mut verdicts: Vec<_> = out
+            .iter()
+            .map(|o| (o.attack_id, o.start, o.targets.to_vec()))
+            .collect();
+        verdicts.sort_by_key(|v| v.0);
+        verdicts
+    };
+    let forward = observe(&mut run.attacks.iter());
+    let backward = observe(&mut run.attacks.iter().rev());
+    assert!(
+        !forward.is_empty(),
+        "tiny run must produce telescope observations"
+    );
+    assert_eq!(forward, backward);
 }
 
 #[test]

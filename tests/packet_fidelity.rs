@@ -3,7 +3,7 @@
 //! and check they agree with the event-level observatory models.
 
 use attackgen::packets::{backscatter_packets, sensor_request_packets};
-use attackgen::{AttackClass, AttackGenerator, GenConfig};
+use attackgen::{AttackClass, AttackGenerator, AttackId, GenConfig, ObservationColumns};
 use honeypot::{merge_sensor_flows, HoneypotConfig, HoneypotDetector};
 use netmodel::{InternetPlan, NetScale};
 use simcore::SimRng;
@@ -34,12 +34,14 @@ fn corsaro_agreement_on_generated_attacks() {
     let root = SimRng::new(11);
     let mut agree = 0usize;
     let mut total = 0usize;
+    let mut scratch = ObservationColumns::new();
     for a in attacks
         .iter()
         .filter(|a| a.class == AttackClass::DirectPathSpoofed)
         .take(80)
     {
-        let event = tele.observe(a, &root).is_some();
+        scratch.clear();
+        let event = tele.observe_into(a.view(), &root, &mut scratch);
         let mut prng = root.fork(a.id.0).fork_named("fidelity");
         let pkts = backscatter_packets(a, &tele.spec, &mut prng);
         let mut det = RsdosDetector::new(RsdosConfig::default());
@@ -114,7 +116,7 @@ fn honeypot_detector_sees_generated_reflection_attacks() {
 fn generated_carpet_attacks_reconstructable() {
     // The Appendix-I reconstruction groups a carpet attack's per-victim
     // observations back into one event.
-    use honeypot::{carpet_prefix, reconstruct_carpet_attacks};
+    use honeypot::{carpet_prefix, reconstruct_carpet_columns};
     let (plan, attacks) = plan_and_attacks();
     let carpet = attacks
         .iter()
@@ -124,17 +126,15 @@ fn generated_carpet_attacks_reconstructable() {
         return;
     };
     // Fabricate per-victim observations as a honeypot would emit them.
-    let per_victim: Vec<attackgen::ObservedAttack> = carpet
-        .targets
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| attackgen::ObservedAttack {
-            attack_id: attackgen::AttackId(carpet.id.0 * 1000 + i as u64),
-            start: carpet.start.plus_secs(i as i64),
-            targets: vec![t],
-        })
-        .collect();
-    let merged = reconstruct_carpet_attacks(&plan, &per_victim, 3600);
+    let mut per_victim = ObservationColumns::new();
+    for (i, &t) in carpet.targets.iter().enumerate() {
+        per_victim.push_row(
+            AttackId(carpet.id.0 * 1000 + i as u64),
+            carpet.start.plus_secs(i as i64),
+            &[t],
+        );
+    }
+    let merged = reconstruct_carpet_columns(&plan, &per_victim, 3600);
     // All targets share one routed block (generator invariant), so they
     // collapse into a single event covering every victim.
     let prefixes: std::collections::HashSet<_> = carpet
@@ -144,7 +144,7 @@ fn generated_carpet_attacks_reconstructable() {
         .collect();
     if prefixes.len() == 1 {
         assert_eq!(merged.len(), 1, "carpet should merge into one event");
-        assert_eq!(merged[0].targets.len(), carpet.targets.len());
+        assert_eq!(merged.targets(0).len(), carpet.targets.len());
     } else {
         assert!(merged.len() <= per_victim.len());
     }
