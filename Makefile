@@ -1,4 +1,4 @@
-.PHONY: build test lint bench bench-json check telemetry chaos scale trace regress store serve
+.PHONY: build test lint bench-json check telemetry chaos scale trace regress store serve
 
 build:
 	cargo build --release
@@ -12,27 +12,18 @@ test: lint
 lint:
 	cargo test -q --release --test repo_lint
 
-bench:
-	cargo bench --workspace
-
-# Bench trajectory: the JSON-emitting benches write
-# BENCH_pipeline.json, BENCH_sweep.json, BENCH_population.json,
-# BENCH_store.json, and BENCH_http.json at the repo root as run
-# manifests (seed, config fingerprint, metrics) so `ddoscovery runs
-# diff` can compare any two of them across commits.
+# Bench trajectory: every bench target writes BENCH_<name>.json at the
+# repo root as a run manifest (seed, config fingerprint, metrics) so
+# `ddoscovery runs diff` can compare any two of them across commits.
 bench-json:
-	cargo bench -p ddoscovery-bench --bench pipeline
-	cargo bench -p ddoscovery-bench --bench sweep
-	cargo bench -p ddoscovery-bench --bench population
-	cargo bench -p ddoscovery-bench --bench store
-	cargo bench -p ddoscovery-bench --bench http
+	cargo bench -p ddoscovery-bench
 
 # Perf regression gate: diff each fresh BENCH file against the stored
 # baseline under .ddoscovery/bench/ with a generous wall-clock gate,
 # then refresh the baselines. First run just seeds the baselines.
 regress:
 	@mkdir -p .ddoscovery/bench
-	@for b in pipeline sweep population; do \
+	@for b in pipeline sweep population detectors; do \
 		if [ -f .ddoscovery/bench/BENCH_$$b.json ]; then \
 			cargo run --release -p ddoscovery --bin ddoscovery -- \
 				runs diff .ddoscovery/bench/BENCH_$$b.json BENCH_$$b.json \
@@ -62,9 +53,9 @@ check: test
 # ignored 10M release smoke test.
 scale:
 	DDOS_SCALE_TARGET=10000000 DDOS_SCALE_STAGE=generate \
-		cargo run --release --example scale_probe
+		cargo run --release -p ddoscovery-bench --example scale_probe
 	DDOS_SCALE_TARGET=10000000 \
-		cargo run --release --example scale_probe
+		cargo run --release -p ddoscovery-bench --example scale_probe
 	cargo bench -p ddoscovery-bench --bench population
 	cargo test -q --release --test scale_smoke -- --ignored
 

@@ -11,10 +11,9 @@
 use attackgen::AttackGenerator;
 use ddoscovery::pipeline::{ObsId, StudyRun};
 use ddoscovery::scenario::StudyConfig;
-use ddoscovery_bench::{bench_manifest, median, write_bench_manifest};
+use ddoscovery_bench::{bench_manifest, median_ns, write_bench_manifest};
 use netmodel::InternetPlan;
 use simcore::{ExecPool, SimRng};
-use std::hint::black_box;
 
 const REPS: usize = 5;
 
@@ -26,17 +25,6 @@ fn quick_cfg() -> StudyConfig {
     cfg
 }
 
-fn timed(mut f: impl FnMut() -> usize) -> u64 {
-    let samples = (0..REPS)
-        .map(|_| {
-            let watch = obs::Stopwatch::start();
-            black_box(f());
-            watch.elapsed_ns()
-        })
-        .collect();
-    median(samples)
-}
-
 fn main() {
     let cfg = quick_cfg();
 
@@ -45,19 +33,27 @@ fn main() {
     let mut plan_rng = root.fork_named("plan");
     let plan = InternetPlan::build(&cfg.net, &mut plan_rng);
     let gen = AttackGenerator::new(&plan, cfg.gen.clone(), &root);
-    let generate_serial_ns = timed(|| gen.generate_study_on(&ExecPool::serial()).len());
-    let generate_pooled_ns = timed(|| gen.generate_study_on(&ExecPool::global()).len());
+    let generate_serial_ns = median_ns(REPS, || gen.generate_study_on(&ExecPool::serial()).len());
+    let generate_pooled_ns = median_ns(REPS, || gen.generate_study_on(&ExecPool::global()).len());
     let attacks = gen.generate_study_on(&ExecPool::serial()).len() as u64;
     drop(gen);
     drop(plan);
 
     // Execute: the full generate + observe pipeline.
-    let execute_serial_ns = timed(|| StudyRun::execute_on(&cfg, &ExecPool::serial()).attacks.len());
-    let execute_pooled_ns = timed(|| StudyRun::execute_on(&cfg, &ExecPool::global()).attacks.len());
+    let execute_serial_ns = median_ns(REPS, || {
+        StudyRun::execute_on(&cfg, &ExecPool::serial())
+            .attacks
+            .len()
+    });
+    let execute_pooled_ns = median_ns(REPS, || {
+        StudyRun::execute_on(&cfg, &ExecPool::global())
+            .attacks
+            .len()
+    });
 
     // Project: cold (fresh run per rep — uncached projection cost) vs
     // warm (memoized series on one retained run).
-    let project_cold_ns = timed(|| {
+    let project_cold_ns = median_ns(REPS, || {
         let fresh = StudyRun::execute(&cfg);
         let mut present = 0usize;
         for &id in &ObsId::ALL {
@@ -70,7 +66,7 @@ fn main() {
         .iter()
         .map(|&id| run.observations(id).len() as u64)
         .sum();
-    let project_warm_ns = timed(|| {
+    let project_warm_ns = median_ns(REPS, || {
         let mut present = 0usize;
         for &id in &ObsId::ALL {
             present += run.normalized_series(id).present().count();

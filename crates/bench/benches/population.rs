@@ -6,39 +6,25 @@
 //! manifest to `BENCH_population.json` at the workspace root (diffable
 //! via `ddoscovery runs diff` — see `make regress`).
 //!
-//! Plain `main` (harness = false): a 10M-attack run is a single
-//! long-form measurement, not a Criterion sample loop, and the stages
-//! share one process-global pool and metrics registry.
+//! A 10M-attack run is a single long-form measurement, not a sample
+//! loop, and the stages share one process-global pool and metrics
+//! registry.
 //!
 //! Memory (peak RSS, bytes/attack) is deliberately *not* measured here:
 //! `VmHWM` is monotone per process, so a multi-scale bench would report
 //! the largest scale's peak for every earlier phase. Per-stage peaks
-//! come from `examples/scale_probe.rs` (one process per stage/scale;
-//! see `make scale`).
+//! come from `crates/bench/examples/scale_probe.rs` (one process per
+//! stage/scale; see `make scale`).
 
 use attackgen::AttackGenerator;
-use ddoscovery::{ObsId, StudyConfig, StudyRun};
-use ddoscovery_bench::{bench_manifest, write_bench_manifest};
+use ddoscovery::{ObsId, StudyRun};
+use ddoscovery_bench::{
+    bench_manifest, scaled_paper_config, touch_projections, write_bench_manifest,
+};
 use netmodel::InternetPlan;
 use simcore::{ExecPool, SimRng};
 
-/// Approximate attack volume of `StudyConfig::paper()`, used to scale
-/// the per-week base rates toward the requested target.
-const PAPER_VOLUME: f64 = 600_000.0;
-
 const SCALES: [(u64, &str); 2] = [(1_000_000, "1M"), (10_000_000, "10M")];
-
-fn config(target: f64) -> StudyConfig {
-    let mut cfg = StudyConfig::paper();
-    cfg.seed = 0x5CA1_AB1E;
-    let scale = (target / PAPER_VOLUME).max(0.01);
-    cfg.gen.timeline.dp_base_per_week *= scale;
-    cfg.gen.timeline.ra_base_per_week *= scale;
-    // One cold measured run per scale: no cross-run reuse, no gaps.
-    cfg.stage_cache = Some(0);
-    cfg.missing_data = false;
-    cfg
-}
 
 struct ScaleResult {
     label: &'static str,
@@ -55,7 +41,7 @@ struct ScaleResult {
 /// matches the generate phase inside `execute_on`; observe time is the
 /// full execute wall time minus that generate time.
 fn probe(target: u64, label: &'static str) -> ScaleResult {
-    let cfg = config(target as f64);
+    let cfg = scaled_paper_config(target as f64);
     let pool = ExecPool::global();
 
     // Generate: columnar population build, timed in isolation.
@@ -83,13 +69,7 @@ fn probe(target: u64, label: &'static str) -> ScaleResult {
 
     // Project: every weekly series + distinct-tuple projection.
     let watch = obs::Stopwatch::start();
-    let mut cells = 0u64;
-    for &id in &ObsId::ALL {
-        cells += run.weekly_series(id).values.len() as u64;
-        cells += run.target_tuples(id).len() as u64;
-    }
-    cells += run.netscout_baseline_tuples().len() as u64;
-    cells += run.akamai_tuples().len() as u64;
+    let cells = touch_projections(&run);
     let project_ns = watch.elapsed_ns().max(1);
 
     let aps = |ns: u64| n as f64 * 1e9 / ns as f64;
@@ -132,7 +112,12 @@ fn main() {
     // The manifest identity is the largest scale's config: both scales
     // share the seed, and 10M is the one a regression would hurt most.
     let (largest, _) = SCALES[SCALES.len() - 1];
-    let manifest = bench_manifest("population", &config(largest as f64), counters, gauges);
+    let manifest = bench_manifest(
+        "population",
+        &scaled_paper_config(largest as f64),
+        counters,
+        gauges,
+    );
     let path = write_bench_manifest("BENCH_population.json", &manifest);
     println!("population: wrote {}", path.display());
 }

@@ -14,7 +14,7 @@
 
 use ddoscovery::stagecache::StageCache;
 use ddoscovery::{ObsId, StudyConfig, StudyRun};
-use ddoscovery_bench::{bench_manifest, median, write_bench_manifest};
+use ddoscovery_bench::{bench_manifest, median_ns, write_bench_manifest};
 
 /// Same observation-side grid as the sweep bench: per-point
 /// `obs.carpet_gap_secs` values, each standing in for one CLI
@@ -42,9 +42,7 @@ fn base(disk_store: Option<String>) -> StudyConfig {
 /// in-memory tier is cleared before each run, so every stage either
 /// recomputes (cold) or loads from the store (warm). Touches the two
 /// swept projections so per-point work matches the sweep bench.
-/// Returns elapsed nanoseconds for the whole pass.
-fn timed_grid_pass(cfg: &StudyConfig) -> u64 {
-    let watch = obs::Stopwatch::start();
+fn grid_pass(cfg: &StudyConfig) {
     for gap in GRID {
         StageCache::global().clear();
         let mut point = cfg.clone();
@@ -54,7 +52,6 @@ fn timed_grid_pass(cfg: &StudyConfig) -> u64 {
             assert!(!run.weekly_series(id).values.is_empty());
         }
     }
-    watch.elapsed_ns()
 }
 
 /// Cumulative disk-tier counters summed across the three stages:
@@ -74,14 +71,14 @@ fn main() {
 
     // Cold: no disk tier — every emulated process recomputes the world.
     let cold_cfg = base(None);
-    let cold: Vec<u64> = (0..REPS).map(|_| timed_grid_pass(&cold_cfg)).collect();
+    let cold_ns = median_ns(REPS, || grid_pass(&cold_cfg));
 
     // Warm: prime the store once, then measure fresh processes served
     // entirely from checksummed cells.
     let warm_cfg = base(Some(dir.display().to_string()));
-    let _prime = timed_grid_pass(&warm_cfg);
+    grid_pass(&warm_cfg);
     let before = disk_counters();
-    let warm: Vec<u64> = (0..REPS).map(|_| timed_grid_pass(&warm_cfg)).collect();
+    let warm_ns = median_ns(REPS, || grid_pass(&warm_cfg));
     let [hit, miss, write, reject] = {
         let after = disk_counters();
         std::array::from_fn(|i| after[i] - before[i])
@@ -90,8 +87,8 @@ fn main() {
     assert_eq!(reject, 0, "primed cells must load cleanly");
 
     let points = GRID.len() as u64;
-    let cold_ns_per_point = median(cold) / points;
-    let warm_ns_per_point = median(warm) / points;
+    let cold_ns_per_point = cold_ns / points;
+    let warm_ns_per_point = warm_ns / points;
     let speedup = cold_ns_per_point as f64 / warm_ns_per_point.max(1) as f64;
 
     let manifest = bench_manifest(

@@ -7,14 +7,13 @@
 //! `BENCH_sweep.json` at the workspace root (diffable via
 //! `ddoscovery runs diff` — see `make regress`).
 //!
-//! Plain `main` (harness = false): the cold/warm phases need exclusive
-//! control over the process-global stage cache and counters, which the
-//! Criterion group layout doesn't guarantee.
+//! The cold/warm phases need exclusive control over the process-global
+//! stage cache and counters, so they run in sequence in one `main`.
 
 use ddoscovery::stagecache::{Stage, StageCache, StageStats};
 use ddoscovery::sweep::sweep;
 use ddoscovery::{ObsId, StudyConfig};
-use ddoscovery_bench::{bench_manifest, median, write_bench_manifest};
+use ddoscovery_bench::{bench_manifest, median_ns, write_bench_manifest};
 
 /// Observation-side grid: `obs.carpet_gap_secs` values. Swept on the
 /// observation stage only, so a warm cache skips plan + generation at
@@ -34,15 +33,13 @@ fn base(stage_cache: usize) -> StudyConfig {
     cfg
 }
 
-/// One full sweep over the grid; returns elapsed nanoseconds.
-fn timed_sweep(cfg: &StudyConfig) -> u64 {
-    let watch = obs::Stopwatch::start();
+/// One full sweep over the grid.
+fn run_sweep(cfg: &StudyConfig) {
     let report = sweep(cfg, &GRID, &[ObsId::Hopscotch, ObsId::AmpPot], |c, v| {
         c.obs.carpet_gap_secs = v as u32;
     })
     .expect("bench base config is valid");
     assert_eq!(report.outcomes.len(), GRID.len() * 2);
-    watch.elapsed_ns()
 }
 
 fn stats() -> [(Stage, StageStats); 3] {
@@ -53,19 +50,19 @@ fn stats() -> [(Stage, StageStats); 3] {
 fn main() {
     // Cold: cache bypassed — every grid point recomputes all stages.
     let cold_cfg = base(0);
-    let cold: Vec<u64> = (0..REPS).map(|_| timed_sweep(&cold_cfg)).collect();
+    let cold_ns = median_ns(REPS, || run_sweep(&cold_cfg));
 
     // Warm: prime the cache with one sweep, then measure sweeps served
     // from it (plan + attacks + observations are all hits).
     let warm_cfg = base(512);
-    let _prime = timed_sweep(&warm_cfg);
+    run_sweep(&warm_cfg);
     let before = stats();
-    let warm: Vec<u64> = (0..REPS).map(|_| timed_sweep(&warm_cfg)).collect();
+    let warm_ns = median_ns(REPS, || run_sweep(&warm_cfg));
     let after = stats();
 
     let points = GRID.len() as u64;
-    let cold_ns_per_point = median(cold) / points;
-    let warm_ns_per_point = median(warm) / points;
+    let cold_ns_per_point = cold_ns / points;
+    let warm_ns_per_point = warm_ns / points;
     let speedup = cold_ns_per_point as f64 / warm_ns_per_point.max(1) as f64;
 
     let hit_rates: Vec<(String, f64)> = before

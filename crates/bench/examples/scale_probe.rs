@@ -6,34 +6,19 @@
 //!
 //! ```text
 //! # full generate → observe → project pipeline (peak-RSS baseline)
-//! DDOS_SCALE_TARGET=10000000 cargo run --release --example scale_probe
+//! DDOS_SCALE_TARGET=10000000 cargo run --release -p ddoscovery-bench --example scale_probe
 //! # generation only (attacks/sec + population resident bytes)
-//! DDOS_SCALE_STAGE=generate cargo run --release --example scale_probe
+//! DDOS_SCALE_STAGE=generate cargo run --release -p ddoscovery-bench --example scale_probe
 //! ```
 
 use attackgen::AttackGenerator;
 use ddoscovery::{ObsId, StudyConfig, StudyRun};
+use ddoscovery_bench::{scaled_paper_config, touch_projections};
 use netmodel::InternetPlan;
 use simcore::{ExecPool, SimRng};
 
-/// Approximate attack volume of `StudyConfig::paper()`, used to scale
-/// the per-week base rates toward the requested target.
-const PAPER_VOLUME: f64 = 600_000.0;
-
 fn rss_mb() -> f64 {
     obs::peak_rss_bytes().unwrap_or(0) as f64 / (1024.0 * 1024.0)
-}
-
-fn config(target: f64) -> StudyConfig {
-    let mut cfg = StudyConfig::paper();
-    cfg.seed = 0x5CA1_AB1E;
-    let scale = (target / PAPER_VOLUME).max(0.01);
-    cfg.gen.timeline.dp_base_per_week *= scale;
-    cfg.gen.timeline.ra_base_per_week *= scale;
-    // One cold measured run: no cross-run reuse, no projection gaps.
-    cfg.stage_cache = Some(0);
-    cfg.missing_data = false;
-    cfg
 }
 
 /// Generation only: attacks/sec of the generator plus the resident
@@ -79,13 +64,7 @@ fn probe_pipeline(cfg: &StudyConfig) {
     );
 
     let watch = obs::Stopwatch::start();
-    let mut cells = 0usize;
-    for &id in &ObsId::ALL {
-        cells += run.weekly_series(id).values.len();
-        cells += run.target_tuples(id).len();
-    }
-    cells += run.netscout_baseline_tuples().len();
-    cells += run.akamai_tuples().len();
+    let cells = touch_projections(&run);
     let proj_secs = watch.elapsed_ns() as f64 / 1e9;
     let rss_end = rss_mb();
     println!("project: {proj_secs:.2}s ({cells} cells)");
@@ -108,7 +87,7 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(1_000_000.0);
     let stage = std::env::var("DDOS_SCALE_STAGE").unwrap_or_else(|_| "pipeline".into());
-    let cfg = config(target);
+    let cfg = scaled_paper_config(target);
     println!("scale_probe: target ~{target:.0} attacks, stage {stage}");
     match stage.as_str() {
         "generate" => probe_generate(&cfg),

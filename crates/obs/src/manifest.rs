@@ -172,7 +172,9 @@ impl RunManifest {
     }
 }
 
-/// Coarse quantile over a snapshot (mirrors `Histogram::approx_quantile`).
+/// Upper bound of the bucket where the cumulative count first reaches
+/// `q · count` — a coarse quantile for summary tables and run diffs.
+/// `u64::MAX` marks the overflow bucket; `None` if empty.
 /// Public because the run store diffs stored histograms at p50/p99.
 pub fn quantile(h: &HistogramSnapshot, q: f64) -> Option<u64> {
     if h.count == 0 {

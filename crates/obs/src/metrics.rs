@@ -121,25 +121,6 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Upper bound of the bucket where the cumulative count first
-    /// reaches `q · count` — a coarse quantile for summary tables.
-    /// `u64::MAX` marks the overflow bucket; `None` if empty.
-    pub fn approx_quantile(&self, q: f64) -> Option<u64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            cum += b.load(Ordering::Relaxed);
-            if cum >= target {
-                return Some(self.bounds.get(i).copied().unwrap_or(u64::MAX));
-            }
-        }
-        Some(u64::MAX)
-    }
-
     fn reset(&self) {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
@@ -363,15 +344,17 @@ mod tests {
     }
 
     #[test]
-    fn approx_quantile_walks_buckets() {
-        let h = Histogram::new(&[10, 100]);
-        assert_eq!(h.approx_quantile(0.5), None);
+    fn quantile_walks_snapshot_buckets() {
+        let reg = Registry::new();
+        let h = reg.histogram("q", &[10, 100]);
+        let at = |q| crate::manifest::quantile(&reg.snapshot().histograms["q"], q);
+        assert_eq!(at(0.5), None);
         for _ in 0..9 {
             h.record(5);
         }
         h.record(1_000);
-        assert_eq!(h.approx_quantile(0.5), Some(10));
-        assert_eq!(h.approx_quantile(1.0), Some(u64::MAX));
+        assert_eq!(at(0.5), Some(10));
+        assert_eq!(at(1.0), Some(u64::MAX));
     }
 
     #[test]
