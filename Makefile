@@ -23,7 +23,7 @@ bench-json:
 # then refresh the baselines. First run just seeds the baselines.
 regress:
 	@mkdir -p .ddoscovery/bench
-	@for b in pipeline sweep population detectors; do \
+	@for b in pipeline sweep population detectors store; do \
 		if [ -f .ddoscovery/bench/BENCH_$$b.json ]; then \
 			cargo run --release -p ddoscovery --bin ddoscovery -- \
 				runs diff .ddoscovery/bench/BENCH_$$b.json BENCH_$$b.json \

@@ -34,11 +34,12 @@ pub use corr::{
 };
 pub use heatmap::Heatmap;
 pub use lag::{best_lag, durable_crossing, lagged_spearman, share_series, LagResult};
-pub use membership::{membership, sorted_distinct};
+pub use membership::{mask_counts_on, membership, membership_on, sorted_distinct};
 pub use overlap::{
-    confirmation_shares, ip_overlap_share, new_vs_recurring, weekly_overlap,
-    weekly_target_counts, ConfirmationShares, NewRecurring, OverlapSeries,
+    confirmation_shares, confirmation_shares_on, ip_overlap_share, ip_overlap_share_on,
+    new_vs_recurring, weekly_overlap, weekly_target_counts, ConfirmationShares, NewRecurring,
+    OverlapSeries,
 };
 pub use seasonal::{monthly_profile, seasonal_summary, SeasonalSummary};
 pub use series::{median, relative_change_4y, Regression, Trend, WeekMask, WeeklySeries};
-pub use upset::{upset, TargetTuple, UpsetAnalysis};
+pub use upset::{upset, upset_on, TargetTuple, UpsetAnalysis};

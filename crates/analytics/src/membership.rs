@@ -7,8 +7,16 @@
 //! Every `StudyRun` projection is already sorted and deduplicated, so
 //! the merge borrows it as is; only unsorted input (hand-built test
 //! sets, the "may contain duplicates" contracts) is sorted into a copy.
+//!
+//! The `_on` variants cut the key space at evenly spaced keys of the
+//! largest set and merge each key range as one [`ExecPool`] task. Every
+//! distinct key falls in exactly one range, so per-range counts sum and
+//! per-range outputs concatenate in key order: the result does not
+//! depend on the worker count.
 
 use crate::upset::TargetTuple;
+use netmodel::Ipv4;
+use simcore::ExecPool;
 use std::borrow::Cow;
 
 /// Most sets one `u16` membership mask can describe.
@@ -17,7 +25,7 @@ pub(crate) const MAX_SETS: usize = 16;
 /// `tuples` as a sorted, duplicate-free slice: borrowed when it already
 /// is one (a single comparison pass), otherwise a sorted, deduplicated
 /// copy.
-pub fn sorted_distinct(tuples: &[TargetTuple]) -> Cow<'_, [TargetTuple]> {
+pub fn sorted_distinct<T: Ord + Clone>(tuples: &[T]) -> Cow<'_, [T]> {
     if tuples.windows(2).all(|w| w[0] < w[1]) {
         return Cow::Borrowed(tuples);
     }
@@ -31,19 +39,98 @@ pub fn sorted_distinct(tuples: &[TargetTuple]) -> Cow<'_, [TargetTuple]> {
 /// sets containing it (bit `i` set ⇔ member of `sets[i]`). Inputs may be
 /// unsorted and contain duplicates.
 pub fn membership(sets: &[&[TargetTuple]]) -> Vec<(TargetTuple, u16)> {
-    let mut out = Vec::new();
-    merge(sets, |t, mask| out.push((t, mask)));
-    out
+    membership_on(&ExecPool::serial(), sets, |_| true)
 }
 
-/// The merge behind [`membership`], handing each `(tuple, mask)` to
-/// `visit` instead of collecting them, for callers that only count.
-pub(crate) fn merge(sets: &[&[TargetTuple]], mut visit: impl FnMut(TargetTuple, u16)) {
+/// The tuples of [`membership`] whose mask passes `keep`, in tuple
+/// order, merged over key ranges on `pool`.
+pub fn membership_on(
+    pool: &ExecPool,
+    sets: &[&[TargetTuple]],
+    keep: impl Fn(u16) -> bool + Sync,
+) -> Vec<(TargetTuple, u16)> {
+    let sorted = distinct_sets(sets);
+    let sorted: Vec<&[TargetTuple]> = sorted.iter().map(|s| &**s).collect();
+    par_key_ranges(pool, &sorted, |parts| {
+        let mut out = Vec::new();
+        merge(parts, |t, mask| {
+            if keep(mask) {
+                out.push((t, mask));
+            }
+        });
+        out
+    })
+    .concat()
+}
+
+/// How many distinct keys of `sets` carry each membership mask:
+/// `counts[mask]`, for every mask below `1 << sets.len()`. Merged over
+/// key ranges on `pool`.
+pub fn mask_counts_on<T: Ord + Copy + Sync>(pool: &ExecPool, sets: &[&[T]]) -> Vec<usize> {
+    let sorted = distinct_sets(sets);
+    let sorted: Vec<&[T]> = sorted.iter().map(|s| &**s).collect();
+    let mut counts = vec![0usize; 1 << sets.len()];
+    for part in par_key_ranges(pool, &sorted, |parts| {
+        let mut counts = vec![0usize; 1 << parts.len()];
+        merge(parts, |_, mask| counts[mask as usize] += 1);
+        counts
+    }) {
+        for (total, n) in counts.iter_mut().zip(part) {
+            *total += n;
+        }
+    }
+    counts
+}
+
+/// The distinct IPs of each set, sorted: one pool task per set.
+pub(crate) fn ip_sets_on(pool: &ExecPool, sets: &[&[TargetTuple]]) -> Vec<Vec<Ipv4>> {
+    pool.run_indexed(sets.len(), |i| {
+        let mut ips: Vec<Ipv4> = sets[i].iter().map(|&(_, ip)| ip).collect();
+        ips.sort_unstable();
+        ips.dedup();
+        ips
+    })
+}
+
+/// Every set as a sorted, duplicate-free slice (see
+/// [`sorted_distinct`]), checked against the mask width.
+fn distinct_sets<'a, T: Ord + Clone>(sets: &[&'a [T]]) -> Vec<Cow<'a, [T]>> {
     assert!(
         sets.len() <= MAX_SETS,
         "membership supports at most {MAX_SETS} sets"
     );
-    let sorted: Vec<Cow<'_, [TargetTuple]>> = sets.iter().map(|s| sorted_distinct(s)).collect();
+    sets.iter().map(|s| sorted_distinct(s)).collect()
+}
+
+/// Run `f` on key-disjoint slices of `sets` (each sorted and
+/// duplicate-free), one pool task per key range, results in key order.
+/// The ranges are cut at the keys that start each [`ExecPool::par_ranges`]
+/// range of the largest set.
+pub(crate) fn par_key_ranges<T: Ord + Copy + Sync, R: Send>(
+    pool: &ExecPool,
+    sets: &[&[T]],
+    f: impl Fn(&[&[T]]) -> R + Sync,
+) -> Vec<R> {
+    let pivot = sets.iter().copied().max_by_key(|s| s.len()).unwrap_or_default();
+    pool.par_ranges(pivot.len(), |range| {
+        // `lo` is unbounded for the first range, `hi` for the last.
+        let lo = pivot.get(range.start).filter(|_| range.start > 0);
+        let hi = pivot.get(range.end);
+        let cut = |s: &[T], key: Option<&T>, none: usize| {
+            key.map_or(none, |k| s.partition_point(|t| t < k))
+        };
+        let parts: Vec<&[T]> = sets
+            .iter()
+            .map(|s| &s[cut(s, lo, 0)..cut(s, hi, s.len())])
+            .collect();
+        f(&parts)
+    })
+}
+
+/// The merge behind [`membership`], handing each `(key, mask)` to
+/// `visit` instead of collecting them, for callers that only count.
+pub(crate) fn merge<T: Ord + Copy>(sets: &[&[T]], mut visit: impl FnMut(T, u16)) {
+    let sorted = distinct_sets(sets);
     let mut heads = vec![0usize; sorted.len()];
     loop {
         let Some(&min) = sorted

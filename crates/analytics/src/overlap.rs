@@ -1,10 +1,10 @@
 //! Target-overlap time series and industry confirmation joins
 //! (Fig. 8, 9, 10, 13 and the §7 scalar statistics).
 
-use crate::membership::{merge, sorted_distinct, MAX_SETS};
+use crate::membership::{ip_sets_on, mask_counts_on, merge, sorted_distinct, MAX_SETS};
 use crate::upset::TargetTuple;
 use serde::{Deserialize, Serialize};
-use simcore::STUDY_WEEKS;
+use simcore::{ExecPool, STUDY_WEEKS};
 use std::collections::HashSet;
 
 /// Study week of a day index, if inside the study window.
@@ -125,6 +125,15 @@ pub fn confirmation_shares<S: AsRef<[TargetTuple]>>(
     academic: &[(String, S)],
     industry: &[TargetTuple],
 ) -> ConfirmationShares {
+    confirmation_shares_on(&ExecPool::serial(), academic, industry)
+}
+
+/// [`confirmation_shares`] on `pool`: one mask count over key ranges.
+pub fn confirmation_shares_on<S: AsRef<[TargetTuple]>>(
+    pool: &ExecPool,
+    academic: &[(String, S)],
+    industry: &[TargetTuple],
+) -> ConfirmationShares {
     let k = academic.len();
     assert!(
         k < MAX_SETS,
@@ -139,22 +148,23 @@ pub fn confirmation_shares<S: AsRef<[TargetTuple]>>(
     let mut seen_by = vec![0usize; k];
     let mut seen_by_union = 0usize;
     let mut industry_n = 0usize;
-    merge(&sets, |_, mask| {
+    for (mask, &n) in mask_counts_on(pool, &sets).iter().enumerate() {
+        let mask = mask as u16;
         let subset = mask & !industry_bit;
         let confirmed = mask & industry_bit != 0;
         if subset != 0 {
             let row = &mut subsets[subset as usize];
-            row.0 += 1;
-            row.1 += confirmed as usize;
+            row.0 += n;
+            row.1 += if confirmed { n } else { 0 };
         }
         if confirmed {
-            industry_n += 1;
-            seen_by_union += (subset != 0) as usize;
-            for (i, n) in seen_by.iter_mut().enumerate() {
-                *n += (subset >> i & 1) as usize;
+            industry_n += n;
+            seen_by_union += if subset != 0 { n } else { 0 };
+            for (i, seen) in seen_by.iter_mut().enumerate() {
+                *seen += (subset >> i & 1) as usize * n;
             }
         }
-    });
+    }
     let rows = subsets
         .iter()
         .enumerate()
@@ -172,12 +182,16 @@ pub fn confirmation_shares<S: AsRef<[TargetTuple]>>(
 /// Share of distinct *IP addresses* (not tuples) common to two streams,
 /// relative to the smaller set — the Jonker-et-al.-style comparison of
 /// §7.1 ("this overlap is lower, i.e., 1.18%–2.9% of the IP addresses").
-/// The merge runs over the streams projected to `(0, IP)` tuples.
+/// The merge runs over the streams' sorted IP projections.
 pub fn ip_overlap_share(a: &[TargetTuple], b: &[TargetTuple]) -> f64 {
-    let ips =
-        |s: &[TargetTuple]| -> Vec<TargetTuple> { s.iter().map(|&(_, ip)| (0, ip)).collect() };
-    let mut by_mask = [0usize; 4];
-    merge(&[&ips(a), &ips(b)], |_, mask| by_mask[mask as usize] += 1);
+    ip_overlap_share_on(&ExecPool::serial(), a, b)
+}
+
+/// [`ip_overlap_share`] on `pool`: the two IP projections are two
+/// tasks, their overlap one mask count over key ranges.
+pub fn ip_overlap_share_on(pool: &ExecPool, a: &[TargetTuple], b: &[TargetTuple]) -> f64 {
+    let ips = ip_sets_on(pool, &[a, b]);
+    let by_mask = mask_counts_on(pool, &[&ips[0], &ips[1]]);
     let smaller = (by_mask[0b01] + by_mask[0b11]).min(by_mask[0b10] + by_mask[0b11]);
     if smaller == 0 {
         return 0.0;

@@ -6,9 +6,10 @@
 //! intersections of the figure's top bar plot — alongside per-set totals
 //! (the left bar plot).
 
-use crate::membership::{merge, MAX_SETS};
+use crate::membership::{ip_sets_on, mask_counts_on};
 use netmodel::Ipv4;
 use serde::{Deserialize, Serialize};
+use simcore::ExecPool;
 use std::collections::BTreeMap;
 
 /// A `(day index, target IP)` tuple.
@@ -79,15 +80,18 @@ impl UpsetAnalysis {
 /// are deduplicated per set. One [`membership`](mod@crate::membership) merge
 /// counts every exclusive intersection.
 pub fn upset<S: AsRef<[TargetTuple]>>(sets: &[(String, S)]) -> UpsetAnalysis {
+    upset_on(&ExecPool::serial(), sets)
+}
+
+/// [`upset`] on `pool`: the exclusive intersections are counted over
+/// key ranges, and the distinct IPs are the distinct keys of the sets'
+/// sorted IP projections (one task per set), counted the same way.
+pub fn upset_on<S: AsRef<[TargetTuple]>>(pool: &ExecPool, sets: &[(String, S)]) -> UpsetAnalysis {
     let slices: Vec<&[TargetTuple]> = sets.iter().map(|(_, s)| s.as_ref()).collect();
-    let mut by_mask = vec![0usize; 1 << sets.len().min(MAX_SETS)];
-    let mut ips: Vec<Ipv4> = Vec::new();
-    merge(&slices, |(_, ip), mask| {
-        by_mask[mask as usize] += 1;
-        ips.push(ip);
-    });
-    ips.sort_unstable();
-    ips.dedup();
+    let by_mask = mask_counts_on(pool, &slices);
+    let ips = ip_sets_on(pool, &slices);
+    let ips: Vec<&[Ipv4]> = ips.iter().map(Vec::as_slice).collect();
+    let distinct_ips = mask_counts_on(pool, &ips).iter().sum();
     let set_sizes = (0..sets.len())
         .map(|i| {
             by_mask
@@ -109,7 +113,7 @@ pub fn upset<S: AsRef<[TargetTuple]>>(sets: &[(String, S)]) -> UpsetAnalysis {
         set_sizes,
         exclusive,
         total_distinct: by_mask.iter().sum(),
-        distinct_ips: ips.len(),
+        distinct_ips,
     }
 }
 

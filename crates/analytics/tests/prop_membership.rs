@@ -2,15 +2,17 @@
 //! on it, each checked against a plain `HashSet` reference on random,
 //! unsorted inputs with duplicates (empty sets included, 1–16 sets).
 //! Each property runs twice: on the raw input (the copy-and-sort path)
-//! and on sorted, deduplicated copies (the borrowed fast path).
+//! and on sorted, deduplicated copies (the borrowed fast path). The
+//! pooled `_on` joins run serially and on three workers, whose uneven
+//! key ranges must not change a single count.
 
 use analytics::{
-    confirmation_shares, ip_overlap_share, membership, sorted_distinct, upset, weekly_overlap,
-    weekly_target_counts, TargetTuple,
+    confirmation_shares_on, ip_overlap_share_on, membership, membership_on, sorted_distinct,
+    upset_on, weekly_overlap, weekly_target_counts, TargetTuple,
 };
 use netmodel::Ipv4;
 use proptest::prelude::*;
-use simcore::STUDY_WEEKS;
+use simcore::{ExecPool, STUDY_WEEKS};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 
@@ -46,6 +48,11 @@ fn distinct(sets: &[Vec<TargetTuple>]) -> Vec<Vec<TargetTuple>> {
             s
         })
         .collect()
+}
+
+/// The pools every pooled join is checked on.
+fn pools() -> [ExecPool; 2] {
+    [ExecPool::serial(), ExecPool::new(3)]
 }
 
 fn slices(sets: &[Vec<TargetTuple>]) -> Vec<&[TargetTuple]> {
@@ -103,7 +110,14 @@ proptest! {
     fn membership_matches_hash_reference(raw in sets(1..=16)) {
         let want = reference_membership(&raw);
         prop_assert_eq!(membership(&slices(&raw)), want.clone());
-        prop_assert_eq!(membership(&slices(&distinct(&raw))), want);
+        prop_assert_eq!(membership(&slices(&distinct(&raw))), want.clone());
+        for pool in pools() {
+            let all = membership_on(&pool, &slices(&raw), |_| true);
+            prop_assert_eq!(all, want.clone());
+            let odd: Vec<(TargetTuple, u16)> =
+                want.iter().copied().filter(|&(_, mask)| mask & 1 == 1).collect();
+            prop_assert_eq!(membership_on(&pool, &slices(&raw), |mask| mask & 1 == 1), odd);
+        }
     }
 
     /// `sorted_distinct` borrows sorted, duplicate-free input and sorts
@@ -130,8 +144,8 @@ proptest! {
         }
         let ips: HashSet<Ipv4> = hs.iter().flatten().map(|&(_, ip)| ip).collect();
         let total: usize = exclusive.values().sum();
-        for input in [raw.clone(), distinct(&raw)] {
-            let u = upset(&named(&input));
+        for (input, pool) in [raw.clone(), distinct(&raw)].into_iter().zip(pools()) {
+            let u = upset_on(&pool, &named(&input));
             prop_assert_eq!(u.set_sizes.clone(), hs.iter().map(HashSet::len).collect::<Vec<_>>());
             prop_assert_eq!(u.exclusive.clone(), exclusive.clone());
             prop_assert_eq!(u.total_distinct, total);
@@ -160,11 +174,14 @@ proptest! {
             hs.iter().map(|s| s.intersection(&ind).count() as f64 / n).collect();
         let union: HashSet<TargetTuple> = hs.iter().flatten().copied().collect();
         let seen_by_union = union.intersection(&ind).count() as f64 / n;
-        for (input, industry) in [
+        for ((input, industry), pool) in [
             (raw.clone(), industry.clone()),
             (distinct(&raw), distinct(std::slice::from_ref(&industry)).remove(0)),
-        ] {
-            let c = confirmation_shares(&named(&input), &industry);
+        ]
+        .into_iter()
+        .zip(pools())
+        {
+            let c = confirmation_shares_on(&pool, &named(&input), &industry);
             prop_assert_eq!(c.rows, rows.clone());
             prop_assert_eq!(c.industry_seen_by, seen_by.clone());
             prop_assert_eq!(c.industry_seen_by_union, seen_by_union);
@@ -200,7 +217,8 @@ proptest! {
             ia.intersection(&ib).count() as f64 / smaller as f64
         };
         let clean = distinct(&[a.clone(), b.clone()]);
-        prop_assert_eq!(ip_overlap_share(&a, &b), want);
-        prop_assert_eq!(ip_overlap_share(&clean[0], &clean[1]), want);
+        let [serial, pooled] = pools();
+        prop_assert_eq!(ip_overlap_share_on(&serial, &a, &b), want);
+        prop_assert_eq!(ip_overlap_share_on(&pooled, &clean[0], &clean[1]), want);
     }
 }

@@ -359,6 +359,20 @@ impl AttackColumns {
         (1..self.len()).all(|i| key(i - 1) < key(i))
     }
 
+    /// The row of attack `id` starting at `start`, by binary search
+    /// over the canonical `(start, id)` order (see
+    /// [`AttackColumns::is_sorted_by_start_id`]). Observations carry
+    /// their attack's id and start, so this joins an observation to its
+    /// ground-truth row without building an index.
+    pub fn find(&self, id: AttackId, start: SimTime) -> Option<usize> {
+        let (Ok(start), Ok(id)) = (u32::try_from(start.0), u32::try_from(id.0)) else {
+            return None;
+        };
+        let lo = self.start_secs.partition_point(|&s| s < start);
+        let hi = lo + self.start_secs[lo..].partition_point(|&s| s == start);
+        self.id[lo..hi].binary_search(&id).ok().map(|i| lo + i)
+    }
+
     /// Merge a `(start, id)`-sorted shard with shard-local dense ids
     /// into `self`, rebasing ids by `id_base`. Rows starting at or
     /// after `spill_bound` (seconds — the first week of the *next*
@@ -748,14 +762,27 @@ impl ObservationColumns {
     /// Distinct (day, target IP) tuples of the stream (§7) — one linear
     /// scan over the arena, then sort + dedup.
     pub fn distinct_target_tuples(&self) -> Vec<(i64, Ipv4)> {
-        let mut tuples: Vec<(i64, Ipv4)> = Vec::with_capacity(self.target_arena.len());
-        for i in 0..self.len() {
+        self.distinct_target_tuples_where(|_| true)
+    }
+
+    /// [`ObservationColumns::distinct_target_tuples`] of the rows `keep`
+    /// accepts, in one allocation of the exact size.
+    pub fn distinct_target_tuples_where(&self, keep: impl Fn(usize) -> bool) -> Vec<(i64, Ipv4)> {
+        let rows = || (0..self.len()).filter(|&i| keep(i));
+        let mut tuples: Vec<(i64, Ipv4)> =
+            Vec::with_capacity(rows().map(|i| self.targets(i).len()).sum());
+        for i in rows() {
             let day = SimTime(self.start[i]).day_index();
-            for &ip in self.targets(i) {
-                tuples.push((day, ip));
-            }
+            tuples.extend(self.targets(i).iter().map(|&ip| (day, ip)));
         }
-        tuples.sort_unstable();
+        // Rows in start order (every observation stream) yield
+        // day-ordered tuples; sorting each day's run is then the whole
+        // sort.
+        if tuples.windows(2).all(|w| w[0].0 <= w[1].0) {
+            tuples.chunk_by_mut(|a, b| a.0 == b.0).for_each(<[_]>::sort_unstable);
+        } else {
+            tuples.sort_unstable();
+        }
         tuples.dedup();
         tuples
     }
@@ -902,6 +929,22 @@ mod tests {
             assert_eq!(a.total_packets(), r.total_packets());
             assert_eq!(a.primary_target(), r.primary_target());
         }
+    }
+
+    #[test]
+    fn find_joins_on_start_and_id() {
+        let mut cols = AttackColumns::from_attacks(&sample_attacks());
+        cols.sort_by_start_id();
+        for i in 0..cols.len() {
+            let a = cols.get(i);
+            assert_eq!(cols.find(a.id, a.start), Some(i));
+        }
+        // A known id at the wrong start, an unknown id at a known start,
+        // and out-of-range keys all miss.
+        assert_eq!(cols.find(AttackId(0), SimTime(1_000)), None);
+        assert_eq!(cols.find(AttackId(7), SimTime(1_000)), None);
+        assert_eq!(cols.find(AttackId(0), SimTime(-5)), None);
+        assert_eq!(cols.find(AttackId(u64::MAX), SimTime(5_000)), None);
     }
 
     #[test]

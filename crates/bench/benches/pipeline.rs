@@ -16,6 +16,9 @@ use netmodel::InternetPlan;
 use simcore::{ExecPool, SimRng};
 
 const REPS: usize = 5;
+/// Memoized projection lookups per warm sample: one lookup is well under
+/// a microsecond, too short to time alone against the clock's jitter.
+const WARM_CALLS: u64 = 1000;
 
 fn quick_cfg() -> StudyConfig {
     let mut cfg = StudyConfig::quick();
@@ -52,7 +55,7 @@ fn main() {
     });
 
     // Project: cold (fresh run per rep — uncached projection cost) vs
-    // warm (memoized series on one retained run).
+    // warm (memoized series on one retained run, per lookup round).
     let project_cold_ns = median_ns(REPS, || {
         let fresh = StudyRun::execute(&cfg);
         let mut present = 0usize;
@@ -68,11 +71,14 @@ fn main() {
         .sum();
     let project_warm_ns = median_ns(REPS, || {
         let mut present = 0usize;
-        for &id in &ObsId::ALL {
-            present += run.normalized_series(id).present().count();
+        for _ in 0..WARM_CALLS {
+            for &id in &ObsId::ALL {
+                present += run.normalized_series(id).present().count();
+            }
+            present += run.netscout_baseline_tuples().len();
         }
-        present + run.netscout_baseline_tuples().len()
-    });
+        present
+    }) / WARM_CALLS;
 
     let speedup = |serial: u64, pooled: u64| serial as f64 / pooled.max(1) as f64;
     let manifest = bench_manifest(

@@ -6,9 +6,10 @@
 //! manifest to `BENCH_population.json` at the workspace root (diffable
 //! via `ddoscovery runs diff` — see `make regress`).
 //!
-//! A 10M-attack run is a single long-form measurement, not a sample
-//! loop, and the stages share one process-global pool and metrics
-//! registry.
+//! Generate and observe at 10M attacks are single long-form
+//! measurements, not sample loops; project is the median of
+//! `PROJECT_SAMPLES` recomputations. The stages share one
+//! process-global pool and metrics registry.
 //!
 //! Memory (peak RSS, bytes/attack) is deliberately *not* measured here:
 //! `VmHWM` is monotone per process, so a multi-scale bench would report
@@ -19,12 +20,15 @@
 use attackgen::AttackGenerator;
 use ddoscovery::{ObsId, StudyRun};
 use ddoscovery_bench::{
-    bench_manifest, scaled_paper_config, touch_projections, write_bench_manifest,
+    bench_manifest, median_ns, scaled_paper_config, touch_projections, write_bench_manifest,
 };
 use netmodel::InternetPlan;
 use simcore::{ExecPool, SimRng};
 
 const SCALES: [(u64, &str); 2] = [(1_000_000, "1M"), (10_000_000, "10M")];
+/// Timed projection samples per scale; one ~0.1 s sample moved +67%
+/// between back-to-back runs.
+const PROJECT_SAMPLES: usize = 5;
 
 struct ScaleResult {
     label: &'static str,
@@ -67,10 +71,21 @@ fn probe(target: u64, label: &'static str) -> ScaleResult {
         .map(|&id| run.observations(id).len() as u64)
         .sum();
 
-    // Project: every weekly series + distinct-tuple projection.
-    let watch = obs::Stopwatch::start();
+    // Project: the median of several recomputations of every stream's
+    // weekly counts and distinct target tuples. A run memoizes its
+    // projections, so the samples call the column kernels behind them
+    // (the two small industry projections stay out of the timing).
     let cells = touch_projections(&run);
-    let project_ns = watch.elapsed_ns().max(1);
+    let project_ns = median_ns(PROJECT_SAMPLES, || {
+        ObsId::ALL
+            .iter()
+            .map(|&id| {
+                let o = run.observations(id);
+                o.weekly_counts().len() + o.distinct_target_tuples().len()
+            })
+            .sum::<usize>()
+    })
+    .max(1);
 
     let aps = |ns: u64| n as f64 * 1e9 / ns as f64;
     ScaleResult {

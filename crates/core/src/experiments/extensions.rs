@@ -12,12 +12,12 @@
 use super::ExperimentResult;
 use crate::pipeline::{ObsId, StudyRun};
 use crate::render::text_table;
-use analytics::{best_lag, membership, TargetTuple};
+use analytics::{best_lag, mask_counts_on};
 use attackgen::{AttackRef, ObservationColumns};
 use flowmon::{MitigationModel, MitigationParams};
 use netmodel::AmpVector;
 use reports::{period_sensitivity, synthesize, table1_industry_counts, TrendClaim};
-use simcore::SimRng;
+use simcore::{ExecPool, SimRng};
 use telescope::Telescope;
 
 /// Lead/lag matrix over the ten main series.
@@ -25,35 +25,42 @@ pub fn lags(run: &StudyRun) -> ExperimentResult {
     let series = run.all_ten_normalized();
     let smoothed: Vec<analytics::WeeklySeries> = series.iter().map(|s| s.ewma(12)).collect();
     let max_lag = 16;
+    // Each pair's best lag is independent of the others: one pool task
+    // per pair, reported in pair order.
+    let pairs: Vec<(usize, usize)> = (0..smoothed.len())
+        .flat_map(|i| ((i + 1)..smoothed.len()).map(move |j| (i, j)))
+        .collect();
+    let best = run.pool().run_indexed(pairs.len(), |k| {
+        let (i, j) = pairs[k];
+        best_lag(&smoothed[i], &smoothed[j], max_lag)
+    });
     let mut rows = Vec::new();
     let mut csv = String::from("leader,follower,lag_weeks,rho,p_value\n");
-    for i in 0..smoothed.len() {
-        for j in (i + 1)..smoothed.len() {
-            let Some(best) = best_lag(&smoothed[i], &smoothed[j], max_lag) else {
-                continue;
-            };
-            // Only report informative pairs: significant and meaningfully
-            // lagged.
-            if !best.correlation.significant() {
-                continue;
-            }
-            let (leader, follower, lag) = if best.lag >= 0 {
-                (&series[i].name, &series[j].name, best.lag)
-            } else {
-                (&series[j].name, &series[i].name, -best.lag)
-            };
-            csv.push_str(&format!(
-                "{},{},{},{:.4},{:.6}\n",
-                leader, follower, lag, best.correlation.rho, best.correlation.p_value
-            ));
-            if lag >= 2 {
-                rows.push(vec![
-                    leader.clone(),
-                    follower.clone(),
-                    format!("{lag} wk"),
-                    format!("{:+.2}", best.correlation.rho),
-                ]);
-            }
+    for (&(i, j), best) in pairs.iter().zip(best) {
+        let Some(best) = best else {
+            continue;
+        };
+        // Only report informative pairs: significant and meaningfully
+        // lagged.
+        if !best.correlation.significant() {
+            continue;
+        }
+        let (leader, follower, lag) = if best.lag >= 0 {
+            (&series[i].name, &series[j].name, best.lag)
+        } else {
+            (&series[j].name, &series[i].name, -best.lag)
+        };
+        csv.push_str(&format!(
+            "{},{},{},{:.4},{:.6}\n",
+            leader, follower, lag, best.correlation.rho, best.correlation.p_value
+        ));
+        if lag >= 2 {
+            rows.push(vec![
+                leader.clone(),
+                follower.clone(),
+                format!("{lag} wk"),
+                format!("{:+.2}", best.correlation.rho),
+            ]);
         }
     }
     rows.sort_by(|a, b| b[3].cmp(&a[3]));
@@ -154,40 +161,44 @@ pub fn vendor_reports(run: &StudyRun) -> ExperimentResult {
 /// Hopscotch saw more targets attacked via CLDAP ... for QOTD, RPC and
 /// NTP both had largely overlapping target sets").
 pub fn protocols(run: &StudyRun) -> ExperimentResult {
-    // Join observations back to ground-truth vectors through an
-    // id-sorted index of the amplification attacks.
-    let mut vector_of: Vec<(u64, AmpVector)> = run
-        .attacks
-        .iter()
-        .filter_map(|a| a.vector.amp_vector().map(|v| (a.id.0, v)))
-        .collect();
-    vector_of.sort_unstable_by_key(|&(id, _)| id);
-    // One sorted, deduplicated target set per vector.
-    let per_vector_targets = |id: ObsId| -> Vec<Vec<TargetTuple>> {
-        let mut out = vec![Vec::new(); AmpVector::ALL.len()];
-        for o in run.observations(id).iter() {
-            let Ok(i) = vector_of.binary_search_by_key(&o.attack_id.0, |&(id, _)| id) else {
-                continue;
-            };
-            out[vector_of[i].1 as usize].extend(o.target_tuples());
-        }
-        for set in &mut out {
-            set.sort_unstable();
-            set.dedup();
-        }
-        out
-    };
-    let hop = per_vector_targets(ObsId::Hopscotch);
-    let amp = per_vector_targets(ObsId::AmpPot);
+    // Join each observation to its ground-truth vector over observation
+    // ranges on the run's pool: an observation carries its attack's
+    // `(start, id)` (a carpet event its first member's), and the
+    // population is sorted by `(start, id)`. `NONE` marks an
+    // observation of a non-amplification attack.
+    const NONE: u8 = u8::MAX;
+    let attacks = &run.attacks;
+    let platforms = [ObsId::AmpPot, ObsId::Hopscotch];
+    let vectors = platforms.map(|id| {
+        let obs = run.observations(id);
+        run.pool()
+            .par_ranges(obs.len(), |range| {
+                range
+                    .map(|i| {
+                        let o = obs.get(i);
+                        attacks
+                            .find(o.attack_id, o.start)
+                            .and_then(|j| attacks.vector[j].amp_vector())
+                            .map_or(NONE, |v| v as u8)
+                    })
+                    .collect::<Vec<u8>>()
+            })
+            .concat()
+    });
+    // One task per vector builds that vector's sorted, deduplicated
+    // target set at each platform, each in one exact-size allocation,
+    // and returns only their sizes and overlap.
+    let counts = run.pool().run_indexed(AmpVector::ALL.len(), |i| {
+        let v = AmpVector::ALL[i] as u8;
+        let [amp, hop] = [0, 1].map(|p| {
+            run.observations(platforms[p]).distinct_target_tuples_where(|row| vectors[p][row] == v)
+        });
+        let shared = mask_counts_on(&ExecPool::serial(), &[&amp, &hop])[0b11];
+        (amp.len(), hop.len(), shared)
+    });
     let mut rows = Vec::new();
     let mut csv = String::from("vector,amppot_targets,hopscotch_targets,shared,shared_of_smaller\n");
-    for v in AmpVector::ALL {
-        let (a, h) = (&amp[v as usize], &hop[v as usize]);
-        let shared = membership(&[a, h])
-            .iter()
-            .filter(|&&(_, mask)| mask == 0b11)
-            .count();
-        let (a, h) = (a.len(), h.len());
+    for (v, (a, h, shared)) in AmpVector::ALL.into_iter().zip(counts) {
         let denom = a.min(h);
         let share = if denom > 0 {
             shared as f64 / denom as f64
@@ -251,30 +262,45 @@ pub fn interference(run: &StudyRun) -> ExperimentResult {
     // The baseline verdict does not depend on the scenario: observe each
     // DPS row once per telescope, and again only for a scenario whose
     // mitigation actually shortens it (an untouched row is the same RNG
-    // fork on the same row, so it keeps its baseline verdict).
+    // fork on the same row, so it keeps its baseline verdict). Every
+    // verdict is a pure function of its row, so the attack ranges fan
+    // out on the run's pool and their counts sum.
+    let shards = run.pool().par_ranges(run.attacks.len(), |range| {
+        let mut baseline = [0usize; 2];
+        let mut mitigated = [[0usize; 2]; 2];
+        let mut scratch = ObservationColumns::new();
+        let mut seen = |a: AttackRef<'_>, tele: &Telescope| -> bool {
+            scratch.clear();
+            tele.observe_into(a, &root, &mut scratch)
+        };
+        for a in range.map(|i| run.attacks.get(i)) {
+            if a.class != attackgen::AttackClass::DirectPathSpoofed {
+                continue;
+            }
+            let durations = models
+                .each_ref()
+                .map(|m| m.effective_duration_secs(a, &run.plan, &root));
+            for (t, (_, tele)) in telescopes.iter().enumerate() {
+                let base = seen(a, tele);
+                baseline[t] += base as usize;
+                for (s, &duration_secs) in durations.iter().enumerate() {
+                    mitigated[s][t] += if duration_secs == a.duration_secs {
+                        base
+                    } else {
+                        seen(AttackRef { duration_secs, ..a }, tele)
+                    } as usize;
+                }
+            }
+        }
+        (baseline, mitigated)
+    });
     let mut baseline = [0usize; 2];
     let mut mitigated = [[0usize; 2]; 2];
-    let mut scratch = ObservationColumns::new();
-    let mut seen = |a: AttackRef<'_>, tele: &Telescope| -> bool {
-        scratch.clear();
-        tele.observe_into(a, &root, &mut scratch)
-    };
-    for a in run.attacks.iter() {
-        if a.class != attackgen::AttackClass::DirectPathSpoofed {
-            continue;
-        }
-        let durations = models
-            .each_ref()
-            .map(|m| m.effective_duration_secs(a, &run.plan, &root));
-        for (t, (_, tele)) in telescopes.iter().enumerate() {
-            let base = seen(a, tele);
-            baseline[t] += base as usize;
-            for (s, &duration_secs) in durations.iter().enumerate() {
-                mitigated[s][t] += if duration_secs == a.duration_secs {
-                    base
-                } else {
-                    seen(AttackRef { duration_secs, ..a }, tele)
-                } as usize;
+    for (b, m) in shards {
+        for t in 0..2 {
+            baseline[t] += b[t];
+            for s in 0..2 {
+                mitigated[s][t] += m[s][t];
             }
         }
     }
@@ -326,15 +352,16 @@ pub fn interference(run: &StudyRun) -> ExperimentResult {
 pub fn rtbh(run: &StudyRun) -> ExperimentResult {
     use flowmon::{blackhole_events, rtbh_stats, RtbhParams};
     // The blackholed population: attacks the IXP actually observed, as
-    // borrowed rows in attack order.
-    let mut observed_ids: Vec<u64> = run.observations(ObsId::IxpDp).attack_id.clone();
-    observed_ids.extend_from_slice(&run.observations(ObsId::IxpRa).attack_id);
-    observed_ids.sort_unstable();
-    let blackholed: Vec<AttackRef<'_>> = run
-        .attacks
+    // borrowed rows in attack order. Each observation joins to its row
+    // by its attack's `(start, id)`.
+    let mut rows: Vec<usize> = [ObsId::IxpDp, ObsId::IxpRa]
         .iter()
-        .filter(|a| observed_ids.binary_search(&a.id.0).is_ok())
+        .flat_map(|&id| run.observations(id).iter())
+        .filter_map(|o| run.attacks.find(o.attack_id, o.start))
         .collect();
+    rows.sort_unstable();
+    rows.dedup();
+    let blackholed: Vec<AttackRef<'_>> = rows.into_iter().map(|i| run.attacks.get(i)).collect();
     let root = SimRng::new(run.config.seed).fork_named("observatories");
     let events = blackhole_events(&blackholed, &RtbhParams::default(), &root);
     let accepted = events
@@ -440,13 +467,6 @@ pub fn seasonality(run: &StudyRun) -> ExperimentResult {
 /// Netscout's direct-path alerts over the study.
 pub fn l7_growth(run: &StudyRun) -> ExperimentResult {
     use attackgen::attack::AttackVector;
-    let mut l7_ids: Vec<u64> = run
-        .attacks
-        .iter()
-        .filter(|a| a.vector == AttackVector::HttpFlood)
-        .map(|a| a.id.0)
-        .collect();
-    l7_ids.sort_unstable();
     let mut l7 = vec![0.0; simcore::STUDY_WEEKS];
     let mut other = vec![0.0; simcore::STUDY_WEEKS];
     for o in run.observations(ObsId::NetscoutDp).iter() {
@@ -454,7 +474,9 @@ pub fn l7_growth(run: &StudyRun) -> ExperimentResult {
         if !(0..simcore::STUDY_WEEKS as i64).contains(&w) {
             continue;
         }
-        if l7_ids.binary_search(&o.attack_id.0).is_ok() {
+        // The alert joins to its attack row by the attack's `(start, id)`.
+        let row = run.attacks.find(o.attack_id, o.start);
+        if row.is_some_and(|i| run.attacks.vector[i] == AttackVector::HttpFlood) {
             l7[w as usize] += 1.0;
         } else {
             other[w as usize] += 1.0;
@@ -495,84 +517,74 @@ pub fn l7_growth(run: &StudyRun) -> ExperimentResult {
 /// size, duration, vectors, methods): what an omniscient industry
 /// report would have published about the simulated 4.5 years.
 pub fn population(run: &StudyRun) -> ExperimentResult {
-    let percentile = |sorted: &[f64], p: f64| -> f64 {
-        if sorted.is_empty() {
-            return f64::NAN;
-        }
-        sorted[((sorted.len() - 1) as f64 * p).round() as usize]
-    };
-    // One pass over the population buckets the scalars each row reports
-    // by (year, DP/RA); durations stay `u32` until sorted.
+    // The population is sorted by start, so each year is one row range.
+    // Each (year, DP/RA) bucket is one pool task: it collects its
+    // durations (kept `u32`) and rates, selects the percentiles in
+    // place, and returns only the row's numbers.
     const YEARS: std::ops::RangeInclusive<i32> = 2019..=2023;
-    let bounds: Vec<simcore::SimTime> = (*YEARS.start()..=*YEARS.end() + 1)
-        .map(|year| simcore::Date::new(year, 1, 1).to_sim_time())
-        .collect();
-    #[derive(Default)]
-    struct Bucket {
-        durations: Vec<u32>,
-        pps: Vec<f64>,
-        carpet: usize,
+    const CLASSES: [&str; 2] = ["DP", "RA"];
+    let years: Vec<i32> = YEARS.collect();
+    let starts = &run.attacks.start_secs;
+    let year_start = |year: i32| {
+        let t = simcore::Date::new(year, 1, 1).to_sim_time().0;
+        starts.partition_point(|&s| i64::from(s) < t)
+    };
+    // The `p` quantile of `v` by nearest rank: the value a full sort
+    // would hold at that index.
+    fn quantile<T: Copy>(v: &mut [T], p: f64, cmp: impl FnMut(&T, &T) -> std::cmp::Ordering) -> T {
+        *v.select_nth_unstable_by(((v.len() - 1) as f64 * p).round() as usize, cmp).1
     }
-    let mut buckets: Vec<[Bucket; 2]> = YEARS.map(|_| Default::default()).collect();
-    let mut short = 0usize;
-    for a in run.attacks.iter() {
-        short += (a.duration_secs < 600) as usize;
-        let class = if a.class.is_direct_path() {
-            0
-        } else if a.class.is_reflection() {
-            1
-        } else {
-            continue;
-        };
-        let Some(year) = bounds
-            .windows(2)
-            .position(|w| a.start >= w[0] && a.start < w[1])
-        else {
-            continue;
-        };
-        let b = &mut buckets[year][class];
-        b.durations.push(a.duration_secs);
-        b.pps.push(a.pps);
-        b.carpet += a.is_carpet_bombing() as usize;
-    }
+    let buckets = run.pool().run_indexed(years.len() * CLASSES.len(), |k| {
+        let year = years[k / CLASSES.len()];
+        let mut durations: Vec<u32> = Vec::new();
+        let mut pps: Vec<f64> = Vec::new();
+        let mut carpet = 0usize;
+        for a in (year_start(year)..year_start(year + 1)).map(|i| run.attacks.get(i)) {
+            let class = if a.class.is_direct_path() {
+                0
+            } else if a.class.is_reflection() {
+                1
+            } else {
+                continue;
+            };
+            if class == k % CLASSES.len() {
+                durations.push(a.duration_secs);
+                pps.push(a.pps);
+                carpet += a.is_carpet_bombing() as usize;
+            }
+        }
+        let n = durations.len();
+        (n > 0).then(|| {
+            (
+                n,
+                [0.5, 0.9].map(|p| quantile(&mut durations, p, u32::cmp) as f64),
+                [0.5, 0.99].map(|p| quantile(&mut pps, p, f64::total_cmp)),
+                carpet as f64 / n as f64,
+            )
+        })
+    });
+    let short = run.attacks.duration_secs.iter().filter(|&&d| d < 600).count();
     let mut body = String::new();
     let mut csv = String::from(
         "year,class,count,duration_p50_s,duration_p90_s,pps_p50,pps_p99,carpet_share\n",
     );
     let mut rows = Vec::new();
-    for (year, classes) in YEARS.zip(&mut buckets) {
-        for (label, b) in ["DP", "RA"].into_iter().zip(classes) {
-            let n = b.durations.len();
-            if n == 0 {
-                continue;
-            }
-            b.durations.sort_unstable();
-            let durations: Vec<f64> = b.durations.iter().map(|&d| d as f64).collect();
-            b.pps.sort_by(|a, b| a.total_cmp(b));
-            let pps = &b.pps;
-            let carpet_share = b.carpet as f64 / n as f64;
-            csv.push_str(&format!(
-                "{year},{label},{},{:.0},{:.0},{:.0},{:.0},{:.4}\n",
-                n,
-                percentile(&durations, 0.5),
-                percentile(&durations, 0.9),
-                percentile(pps, 0.5),
-                percentile(pps, 0.99),
-                carpet_share,
-            ));
-            rows.push(vec![
-                format!("{year}"),
-                label.to_string(),
-                format!("{n}"),
-                format!(
-                    "{:.0}s / {:.0}s",
-                    percentile(&durations, 0.5),
-                    percentile(&durations, 0.9)
-                ),
-                format!("{:.0} / {:.0}", percentile(pps, 0.5), percentile(pps, 0.99)),
-                format!("{:.1}%", 100.0 * carpet_share),
-            ]);
-        }
+    for (k, bucket) in buckets.into_iter().enumerate() {
+        let Some((n, [d50, d90], [p50, p99], carpet_share)) = bucket else {
+            continue;
+        };
+        let (year, label) = (years[k / CLASSES.len()], CLASSES[k % CLASSES.len()]);
+        csv.push_str(&format!(
+            "{year},{label},{n},{d50:.0},{d90:.0},{p50:.0},{p99:.0},{carpet_share:.4}\n"
+        ));
+        rows.push(vec![
+            format!("{year}"),
+            label.to_string(),
+            format!("{n}"),
+            format!("{d50:.0}s / {d90:.0}s"),
+            format!("{p50:.0} / {p99:.0}"),
+            format!("{:.1}%", 100.0 * carpet_share),
+        ]);
     }
     body.push_str(&text_table(
         &["Year", "Class", "Count", "Duration p50/p90", "pps p50/p99", "Carpet"],

@@ -6,16 +6,18 @@ use super::ExperimentResult;
 use crate::pipeline::{ObsId, StudyRun};
 use crate::render::{series_csv, sparkline, text_table};
 use analytics::{
-    confirmation_shares, ip_overlap_share, membership, new_vs_recurring, upset, weekly_overlap,
-    TargetTuple, UpsetAnalysis, WeeklySeries,
+    confirmation_shares_on, ip_overlap_share_on, membership_on, new_vs_recurring, upset_on,
+    weekly_overlap, TargetTuple, UpsetAnalysis, WeeklySeries,
 };
 
 /// The four academic target sets, borrowed from the run's sorted,
 /// deduplicated projections.
 fn academic_sets(run: &StudyRun) -> Vec<(String, &[TargetTuple])> {
+    let sets = run.target_tuples_of(&ObsId::ACADEMIC);
     ObsId::ACADEMIC
         .iter()
-        .map(|&id| (id.name().to_string(), run.target_tuples(id)))
+        .zip(sets)
+        .map(|(&id, set)| (id.name().to_string(), set))
         .collect()
 }
 
@@ -23,7 +25,7 @@ fn academic_sets(run: &StudyRun) -> Vec<(String, &[TargetTuple])> {
 /// academic observatories.
 pub fn fig7(run: &StudyRun) -> ExperimentResult {
     let sets = academic_sets(run);
-    let u = upset(&sets);
+    let u = upset_on(run.pool(), &sets);
     let mut body = format!(
         "Distinct targets: {} tuples over {} IP addresses\n\nSet sizes (non-exclusive):\n",
         u.total_distinct, u.distinct_ips
@@ -89,14 +91,10 @@ fn hopscotch_idx(u: &UpsetAnalysis) -> usize {
 /// The (day, ip) tuples seen by every academic observatory, in tuple
 /// order (the highly-visible targets of Fig. 8 and Table 4).
 pub(super) fn all_four_tuples(run: &StudyRun) -> Vec<TargetTuple> {
-    let sets: Vec<&[TargetTuple]> = ObsId::ACADEMIC
-        .iter()
-        .map(|&id| run.target_tuples(id))
-        .collect();
+    let sets = run.target_tuples_of(&ObsId::ACADEMIC);
     let full = (1u16 << sets.len()) - 1;
-    membership(&sets)
+    membership_on(run.pool(), &sets, |mask| mask == full)
         .into_iter()
-        .filter(|&(_, mask)| mask == full)
         .map(|(t, _)| t)
         .collect()
 }
@@ -128,11 +126,12 @@ pub fn fig8(run: &StudyRun) -> ExperimentResult {
 }
 
 fn confirmation_body(
+    run: &StudyRun,
     sets: &[(String, &[TargetTuple])],
     industry: &[TargetTuple],
     industry_name: &str,
 ) -> (String, String) {
-    let c = confirmation_shares(sets, industry);
+    let c = confirmation_shares_on(run.pool(), sets, industry);
     let mut rows = Vec::new();
     let mut csv = String::from("subset,size,confirmed_share\n");
     let label = |mask: u16| -> String {
@@ -176,7 +175,7 @@ fn confirmation_body(
 pub fn fig9(run: &StudyRun) -> ExperimentResult {
     let sets = academic_sets(run);
     let baseline = run.netscout_baseline_tuples();
-    let (body, csv) = confirmation_body(&sets, baseline, "Netscout (baseline sample)");
+    let (body, csv) = confirmation_body(run, &sets, baseline, "Netscout (baseline sample)");
     ExperimentResult {
         id: "fig9",
         title: "Figure 9: Netscout confirmation of academic targets".into(),
@@ -189,7 +188,7 @@ pub fn fig9(run: &StudyRun) -> ExperimentResult {
 pub fn fig13(run: &StudyRun) -> ExperimentResult {
     let sets = academic_sets(run);
     let akamai = run.akamai_tuples();
-    let (body, csv) = confirmation_body(&sets, akamai, "Akamai");
+    let (body, csv) = confirmation_body(run, &sets, akamai, "Akamai");
     ExperimentResult {
         id: "fig13",
         title: "Figure 13 (App. G): Akamai confirmation of academic targets".into(),
@@ -240,7 +239,7 @@ pub fn fig10(run: &StudyRun) -> ExperimentResult {
 /// all-four share, and the Jonker-style AmpPot↔UCSD IP overlap.
 pub fn stats7(run: &StudyRun) -> ExperimentResult {
     let sets = academic_sets(run);
-    let u = upset(&sets);
+    let u = upset_on(run.pool(), &sets);
     // Multi-type targets: tuples seen by at least one telescope AND at
     // least one honeypot (the two attack classes) — a sum over the
     // exclusive intersections.
@@ -255,7 +254,7 @@ pub fn stats7(run: &StudyRun) -> ExperimentResult {
     let all_four = u.at_least(u.full_mask());
     let amppot_tuples = sets[amppot_idx(&u)].1;
     let ucsd_tuples = sets[ucsd_idx(&u)].1;
-    let jonker = ip_overlap_share(amppot_tuples, ucsd_tuples);
+    let jonker = ip_overlap_share_on(run.pool(), amppot_tuples, ucsd_tuples);
 
     let total = u.total_distinct.max(1);
     let body = format!(

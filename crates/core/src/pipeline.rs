@@ -234,17 +234,15 @@ struct ObsTask {
     shard: usize,
 }
 
-/// Heterogeneous per-shard observatory output, already columnar. The
-/// flow monitors split their two published series *per shard*; since
-/// shards are input-ordered and merged in task order, per-class
-/// concatenation reproduces the merge-then-split row order exactly.
+/// Heterogeneous observatory task output, already columnar. The flow
+/// monitors split their two published series *per shard*; since shards
+/// are input-ordered and merged in task order, per-class concatenation
+/// reproduces the merge-then-split row order exactly. The merge
+/// post-passes reuse it: a carpet reconstruction is `Plain`, the
+/// Netscout class split is `Split`.
 enum ShardOut {
     Plain(ObservationColumns),
-    Ixp {
-        ra: ObservationColumns,
-        dp: ObservationColumns,
-    },
-    Akamai {
+    Split {
         ra: ObservationColumns,
         dp: ObservationColumns,
     },
@@ -302,6 +300,9 @@ pub struct StudyRun {
     netscout: Netscout,
     /// The observatory RNG root the run executed with.
     obs_root: SimRng,
+    /// The pool the run executed on, without its chaos schedule: the
+    /// analysis kernels fan out on it (DESIGN.md §4).
+    pool: ExecPool,
     cache: ProjectionCache,
 }
 
@@ -348,8 +349,8 @@ impl StudyRun {
     /// week index for generation, (attack id, observatory name) for
     /// observation — and the pool merges shard results in deterministic
     /// order regardless of worker count. Carpet reconstruction and the
-    /// flow-monitor class splits remain ordered post-passes inside the
-    /// observation stage.
+    /// Netscout class split are post-passes inside the observation
+    /// stage, one pool task each.
     ///
     /// Stage spans (`plan`, `generate`, `observe`, `merge`) nest under
     /// whatever span the caller holds and are only opened when the
@@ -367,6 +368,7 @@ impl StudyRun {
         // injection pattern is a pure function of the schedule and the
         // work's identity, never of worker count or cache state.
         let chaos = config.chaos.as_ref().map(|c| c.schedule());
+        let analyze_pool = ExecPool::new(pool.workers());
         let pool = &match chaos {
             Some(cs) => pool.with_chaos(cs),
             None => *pool,
@@ -522,7 +524,7 @@ impl StudyRun {
                                 None => {}
                             }
                         }
-                        ShardOut::Ixp { ra, dp }
+                        ShardOut::Split { ra, dp }
                     }
                     6 => {
                         let mut ra = ObservationColumns::new();
@@ -534,7 +536,7 @@ impl StudyRun {
                             let out = if a.class.is_reflection() { &mut ra } else { &mut dp };
                             akamai.observe_into(a, &obs_root, out);
                         }
-                        ShardOut::Akamai { ra, dp }
+                        ShardOut::Split { ra, dp }
                     }
                     _ => {
                         let mut out = AlertColumns::new();
@@ -554,11 +556,12 @@ impl StudyRun {
                 out
             }, (), |(), idx, out| match out {
                 ShardOut::Plain(v) => plain_streams[tasks[idx].observatory].append(v),
-                ShardOut::Ixp { ra, dp } => {
+                // Source 5 is the IXP, source 6 Akamai.
+                ShardOut::Split { ra, dp } if tasks[idx].observatory == 5 => {
                     ixp_ra.append(ra);
                     ixp_dp.append(dp);
                 }
-                ShardOut::Akamai { ra, dp } => {
+                ShardOut::Split { ra, dp } => {
                     akamai_ra.append(ra);
                     akamai_dp.append(dp);
                 }
@@ -569,18 +572,33 @@ impl StudyRun {
             let [ucsd_raw, orion_raw, hopscotch_raw, amppot_raw, newkid_raw]: [ObservationColumns;
                 5] = plain_streams.try_into().expect("five plain streams");
 
-            // Ordered post-passes: CCC / Appendix-I carpet
-            // reconstruction merges concurrent same-prefix honeypot
-            // events; the Netscout alert stream splits into its
-            // published (RA, DP) series. A source that did not run
-            // contributes empty columns here and its `store` below is a
-            // no-op (its streams are already resolved from cache).
+            // Post-passes, four independent pool tasks: CCC /
+            // Appendix-I carpet reconstruction merges concurrent
+            // same-prefix honeypot events of each platform; the
+            // Netscout alert stream splits into its published (RA, DP)
+            // series. Each task is a pure function of its own stream,
+            // so the results do not depend on which worker ran it. A
+            // source that did not run contributes empty columns here
+            // and its `store` below is a no-op (its streams are already
+            // resolved from cache).
             let gap = i64::from(config.obs.carpet_gap_secs);
-            let hopscotch_obs = reconstruct_carpet_columns(&plan, &hopscotch_raw, gap);
-            let amppot_obs = reconstruct_carpet_columns(&plan, &amppot_raw, gap);
-            let newkid_obs = reconstruct_carpet_columns(&plan, &newkid_raw, gap);
-
-            let (netscout_ra, netscout_dp) = split_by_class_columns(&alerts_raw);
+            let carpets = [&hopscotch_raw, &amppot_raw, &newkid_raw];
+            let merged = pool.run_indexed(carpets.len() + 1, |i| match carpets.get(i) {
+                Some(raw) => ShardOut::Plain(reconstruct_carpet_columns(&plan, raw, gap)),
+                None => {
+                    let (ra, dp) = split_by_class_columns(&alerts_raw);
+                    ShardOut::Split { ra, dp }
+                }
+            });
+            let Ok([
+                ShardOut::Plain(hopscotch_obs),
+                ShardOut::Plain(amppot_obs),
+                ShardOut::Plain(newkid_obs),
+                ShardOut::Split { ra: netscout_ra, dp: netscout_dp },
+            ]) = <[ShardOut; 4]>::try_from(merged)
+            else {
+                unreachable!("three carpet reconstructions, then the class split")
+            };
 
             // Publish every freshly observed stream: into both tiers
             // for the next run, into `streams` for this one.
@@ -634,8 +652,15 @@ impl StudyRun {
             netscout_alerts,
             netscout,
             obs_root,
+            pool: analyze_pool,
             cache: ProjectionCache::new(),
         }
+    }
+
+    /// The pool the run executed on, without any chaos schedule, so
+    /// the analysis that fans out on it behaves the same under chaos.
+    pub fn pool(&self) -> &ExecPool {
+        &self.pool
     }
 
     /// Observations of one observatory, columnar.
@@ -701,6 +726,15 @@ impl StudyRun {
                 self.observations(id).distinct_target_tuples()
             });
         v
+    }
+
+    /// [`StudyRun::target_tuples`] of several observatories, in `ids`
+    /// order. Projections not yet memoized compute as pool tasks.
+    pub fn target_tuples_of(&self, ids: &[ObsId]) -> Vec<&[TargetTuple]> {
+        if ids.iter().all(|id| self.cache.tuples[id.index()].get().is_some()) {
+            return ids.iter().map(|&id| self.target_tuples(id)).collect();
+        }
+        self.pool.run_indexed(ids.len(), |i| self.target_tuples(ids[i]))
     }
 
     /// Target tuples of the Netscout §7.2 baseline sample (~28 % of
@@ -899,6 +933,19 @@ mod tests {
         let tuples = run.target_tuples(ObsId::Hopscotch);
         let set: std::collections::HashSet<_> = tuples.iter().collect();
         assert_eq!(set.len(), tuples.len());
+    }
+
+    #[test]
+    fn run_pool_carries_no_chaos() {
+        let mut cfg = StudyConfig::quick();
+        cfg.seed = 0xC4A0_5A11;
+        cfg.workers = Some(3);
+        cfg.chaos = Some(crate::ChaosPlan::recoverable(0.3, 0xBAD));
+        // Even a caller pool that already carries a schedule is stripped.
+        let pool = ExecPool::new(3).with_chaos(cfg.chaos.unwrap().schedule());
+        let run = StudyRun::execute_on(&cfg, &pool);
+        assert_eq!(run.pool().workers(), 3);
+        assert!(run.pool().chaos().is_none(), "analysis must not run under chaos");
     }
 
     #[test]

@@ -96,6 +96,11 @@ impl ExecPool {
         self.workers
     }
 
+    /// The chaos schedule attached to every shard, if any.
+    pub fn chaos(&self) -> Option<ChaosSchedule> {
+        self.chaos
+    }
+
     /// Split `items` into contiguous shards of `chunk_size`, apply
     /// `f(shard_index, shard)` across workers, and return the results
     /// **in shard order** — the defining determinism guarantee: the
@@ -330,6 +335,19 @@ impl ExecPool {
         let out = self.par_chunks_indexed(&indices, 1, |_, shard| f(shard[0]));
         out
     }
+
+    /// Split `0..len` into contiguous [`shard_size`] ranges, run `f` on
+    /// each across workers, and return the results in range order. The
+    /// ranges depend on the worker count, so callers reduce the results
+    /// in order or by an integer sum.
+    pub fn par_ranges<R, F>(&self, len: usize, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(std::ops::Range<usize>) -> R + Sync,
+    {
+        let chunk = shard_size(len, self.workers);
+        self.run_indexed(len.div_ceil(chunk), |i| f(i * chunk..len.min((i + 1) * chunk)))
+    }
 }
 
 impl Default for ExecPool {
@@ -404,6 +422,17 @@ mod tests {
         let par = ExecPool::new(5).run_indexed(64, |i| i * i);
         assert_eq!(serial, par);
         assert_eq!(par[10], 100);
+    }
+
+    #[test]
+    fn par_ranges_cover_the_range_in_order() {
+        for workers in [1, 2, 3, 8] {
+            let ranges = ExecPool::new(workers).par_ranges(1001, |r| r);
+            assert_eq!(ranges.first().map(|r| r.start), Some(0), "workers={workers}");
+            assert_eq!(ranges.last().map(|r| r.end), Some(1001), "workers={workers}");
+            assert!(ranges.windows(2).all(|w| w[0].end == w[1].start), "workers={workers}");
+        }
+        assert!(ExecPool::new(4).par_ranges(0, |r| r).is_empty());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! * A fixed `FaultPlan` produces byte-identical output at any worker
 //!   count and any stage-cache setting — including with recoverable
-//!   control-plane chaos injected on top.
+//!   control-plane chaos injected on top — down to the artifacts of
+//!   every experiment that fans out on the run's pool.
 //! * An *empty* fault plan is bitwise inert: it consumes no randomness
 //!   and touches no float path, so today's output reproduces exactly.
 //! * An outage blacking out baseline weeks degrades into masked (NaN)
@@ -14,7 +15,7 @@
 //! each runs under a test-unique seed and counter assertions measure
 //! deltas.
 
-use ddoscovery::{ChaosPlan, FaultPlan, ObsId, OutageSpec, StudyConfig, StudyRun};
+use ddoscovery::{run_experiment, ChaosPlan, FaultPlan, ObsId, OutageSpec, StudyConfig, StudyRun};
 use simcore::ExecPool;
 
 /// Silence the default panic printer for *injected* chaos panics (they
@@ -78,8 +79,23 @@ fn faulty_plan() -> FaultPlan {
     }
 }
 
+/// The experiments whose kernels fan out on the run's pool.
+const POOLED_EXPERIMENTS: [&str; 10] = [
+    "table4",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig13",
+    "stats7",
+    "lags",
+    "protocols",
+    "interference",
+    "population",
+];
+
 /// Every projection the paper consumes, flattened to bytes (bitwise:
-/// NaN masks compare exactly).
+/// NaN masks compare exactly), followed by the CSV artifacts of every
+/// pooled experiment.
 fn output_fingerprint(run: &StudyRun) -> Vec<u8> {
     let mut out = Vec::new();
     for id in ObsId::ALL {
@@ -93,6 +109,13 @@ fn output_fingerprint(run: &StudyRun) -> Vec<u8> {
         for &(day, ip) in run.target_tuples(id) {
             out.extend(day.to_le_bytes());
             out.extend(ip.0.to_le_bytes());
+        }
+    }
+    for id in POOLED_EXPERIMENTS {
+        let result = run_experiment(run, id).expect("registered experiment");
+        for (name, csv) in &result.csv {
+            out.extend(name.as_bytes());
+            out.extend(csv.as_bytes());
         }
     }
     out

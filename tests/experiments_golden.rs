@@ -34,7 +34,9 @@ const GOLDEN: u64 = 0xbe80_6352_2f56_e7fd;
 
 #[test]
 fn every_experiment_artifact_matches_frozen_golden() {
-    for workers in [1, 2] {
+    // The analysis kernels fan out on the run's pool; three workers cut
+    // uneven shards.
+    for workers in [1, 2, 3] {
         let got = digest_at(workers);
         assert_eq!(
             got, GOLDEN,
